@@ -16,11 +16,18 @@ def _rng(family: str, seed: int, index: int) -> random.Random:
     return random.Random(f"{family}/{seed}/{index}")
 
 
+# Frameworks i and i + BLOCK[family] have the same shape.  A run goes
+# through its frameworks in blocks of this many, so that every complete
+# block runs the same mix of shapes, whatever the seed.
+BLOCK = {"ring": 20, "chain": 10, "bounded": 60}
+
+
 def _shape(family: str, index: int) -> random.Random:
-    """The stream of structural choices: it depends on the index only,
-    so that every seed runs the same mix of shapes and the seed varies
-    the constants.  This keeps the cost mix of a run steady."""
-    return random.Random(f"{family}/shape/{index}")
+    """The stream of structural choices: it depends on the index modulo
+    the block size only, so that every block of every seed runs the
+    same shapes and the seed varies the constants.  This keeps the cost
+    mix of a run steady."""
+    return random.Random(f"{family}/shape/{index % BLOCK[family]}")
 
 
 def _q(x: Fraction) -> str:
@@ -34,7 +41,12 @@ def ring(seed: int, index: int) -> str:
     assumption of the ring above a seeded rational threshold in 0..16;
     the thresholds of one ring are distinct.  Every fourth framework has
     n = 2, which has stable extensions for the oracle to check; the
-    others have n = 3, an odd ring, which has none.  n = 4 is left out:
+    others have n = 3, an odd ring, which has none.  An n = 3 ring whose
+    thresholds rise along the ring, up to rotation, costs about 1.7
+    times one whose thresholds fall; of every four frameworks one
+    rises and two fall, so that the median op is the middle of the
+    falling rings and the 90th percentile lies among the rising ones,
+    not on the edge between two kinds.  n = 4 is left out:
     its ops take 1.2 to 6 s, most of it in the subset search, and a few
     of them decide a run's mean; n = 5 spends about 10 s in the search.
     """
@@ -45,7 +57,9 @@ def ring(seed: int, index: int) -> str:
         rng.sample([Fraction(k, d) for d in (1, 2, 3) for k in range(0, 16 * d + 1)
                     if Fraction(k, d).denominator == d], n)
     )
-    order = _shape("ring", index).sample(range(n), n)
+    turn = _shape("ring", index).randrange(n)
+    rising = n == 2 or index % 4 == 0
+    order = [(turn + k if rising else turn - k) % n for k in range(n)]
     lines = [f"# ring n={n} seed={seed} index={index}"]
     for i in range(1, n + 1):
         lines.append(f"assumption p{i}(X) contrary c{i}(X).")
@@ -58,28 +72,36 @@ def ring(seed: int, index: int) -> str:
 def chain(seed: int, index: int) -> str:
     """Derived predicates over two assumptions, as chains or sum trees.
 
-    Four frameworks in five are affine chains of n = 3, 4, 5, 4 links
+    Four frameworks in five are affine chains of n = 2, 3, 4, 3 links
     in turn (``qk(X) <- qj(Y), X = Y + d, X <= c``); the fifth is a sum
-    tree of depth 2 (``X = Y + Z + d``).  So the median op is a 4-link
-    chain and the 90th percentile the middle of the trees.  The contrary of ``a`` is
-    derived from the last link, over a threshold inside the last
-    link's range, so that it attacks in every framework; the contrary
-    of ``b`` comes from the middle link.  Longer chains and deeper
-    trees are left out: a depth-3 tree spends about 22 s in
-    `attack_graph`, and chains of 6 links and more reach a second per op.
+    tree of depth 2 (``X = Y + Z + d``).  So the median op is a 3-link
+    chain and the 90th percentile the middle of the trees.  The contrary
+    of ``a`` is derived from the last link, over a threshold inside the
+    last link's range, so that it attacks in every framework; the
+    contrary of ``b`` comes from the middle link.
+
+    The seed picks where the range of ``q0`` starts; the range's width,
+    the offsets ``d``, the caps and the threshold's place in the last
+    range come from the shape stream.  Whether a cap cuts the range and
+    where the threshold lies each change an op's cost up to tenfold, so
+    a seed that chose them would change the cost mix of a run.  Longer
+    chains and deeper trees are left out: a depth-3 tree spends about
+    22 s in `attack_graph`, chains of 6 links and more reach a second
+    per op, and with 5 links a run of 32 s completes too few ops for 10
+    of them to lie beyond the 90th percentile.
     """
     rng = _rng("chain", seed, index)
     shape = _shape("chain", index)
     tree = index % 5 == 4
-    n = 2 if tree else (3, 4, 5, 4)[index % 5 % 4]
+    n = 2 if tree else (2, 3, 4, 3)[index % 5 % 4]
     lo = rng.randint(0, 2)
-    hi = lo + rng.randint(1, 3)
+    hi = lo + shape.randint(1, 3)
     lines = [f"# chain n={n} tree={int(tree)} seed={seed} index={index}"]
     lines.append("assumption a(X) contrary ca(X).")
     lines.append("assumption b(X) contrary cb(X).")
     lines.append(f"q0(X) <- a(X), X >= {lo}, X <= {hi}.")
     for k in range(1, n + 1):
-        d = rng.randint(0, 2)
+        d = shape.randint(0, 2)
         if tree:
             lines.append(f"q{k}(X) <- q{k - 1}(Y), q{k - 1}(Z), X = Y + Z + {d}.")
             lo, hi = 2 * lo + d, 2 * hi + d
@@ -87,10 +109,10 @@ def chain(seed: int, index: int) -> str:
             lo, hi = lo + d, hi + d
             cap = ""
             if shape.random() < 0.3:  # a cap inside or just above the range
-                hi = rng.randint(lo + 1, hi + 1)
+                hi = shape.randint(lo + 1, hi + 1)
                 cap = f", X <= {hi}"
             lines.append(f"q{k}(X) <- q{k - 1}(Y), X = Y + {d}{cap}.")
-    t = Fraction(rng.randint(2 * lo + 1, 2 * hi - 1), 2)
+    t = Fraction(2 * lo + shape.randint(1, 2 * (hi - lo) - 1), 2)
     lines.append(f"ca(X) <- q{n}(X), X >= {_q(t)}.")
     lines.append(f"cb(X) <- q{n // 2}(X).")
     return "\n".join(lines) + "\n"
@@ -108,15 +130,27 @@ def bounded(seed: int, index: int) -> str:
     ``v`` would meet one; the seed then picks ``v`` among the points
     that do (or do not).  Which arguments exist drives the op's cost,
     so this keeps the cost mix the same for every seed.
+
+    The cost is bimodal: an op whose framework has a unary argument
+    spends 0.1 to 1 s in the oracle's case splits, and one without
+    takes about 10 ms.  So the mix is fixed: every fifth framework has
+    a rule for a derived predicate (its first rule), and the others
+    have rules for contraries only.  The median op is then a short one,
+    where fixed per-op cost shows, and the 90th percentile is the
+    middle of the long ones, not the edge between the two kinds.
     """
     shape = _shape("bounded", index)
     rng = _rng("bounded", seed, index)
+    unary = index % 5 == 4
     n_assum = shape.randint(1, 2)
     derived = ["p", "q"][: shape.randint(1, 2)]
-    heads = derived + [f"con{i}" for i in range(n_assum)]
+    contraries = [f"con{i}" for i in range(n_assum)]
     rules = []  # (head predicate, point or None, unusable, constraints, refs, assumptions)
-    for _ in range(shape.randint(1, 5)):
-        head_pred = shape.choice(heads)
+    for r in range(shape.randint(1, 5)):
+        if not unary:
+            head_pred = shape.choice(contraries)
+        else:
+            head_pred = shape.choice(derived if r == 0 else derived + contraries)
         point = None
         unusable = False
         extra = []
@@ -125,7 +159,7 @@ def bounded(seed: int, index: int) -> str:
             extra.append(f"X = {point}")
             if shape.random() < 0.3:  # a redundant compatible bound
                 extra.append(f"X <= {point + rng.randint(0, 3)}")
-            if shape.random() < 0.1:  # occasionally an unusable rule
+            if r and shape.random() < 0.1:  # occasionally an unusable rule
                 extra.append(f"X < {point}")
                 unusable = True
         # acyclic body: q-rules may use p, contraries may use p or q

@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 # Ops per traced run, for each phase (untraced and traced): fixed, so
-# that the counts of two traced runs of one seed repeat exactly.
-TRACE_OPS = {"solve-ring": 60, "derive-chain": 60, "oracle-bounded": 400}
-SETUP_PROBES = 11
+# that the counts of two traced runs of one seed repeat exactly, and a
+# whole number of blocks (`generators.BLOCK`).
+TRACE_OPS = {"solve-ring": 60, "derive-chain": 60, "oracle-bounded": 180}
 DEADLINE_S = 170  # every run must end within 180 s
 
 
@@ -35,24 +34,6 @@ def _env(root: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(root / "src")
     return env
-
-
-def setup_seconds(root: Path) -> float:
-    """Median wall time of a fresh interpreter that imports the CLI:
-    the fixed cost every `caba` invocation pays.  One unmeasured probe
-    first compiles the bytecode, as an installed package has it."""
-    argv = [sys.executable, "-c", "import caba.cli"]
-    times = []
-    for i in range(SETUP_PROBES + 1):
-        t0 = time.perf_counter()
-        done = subprocess.run(argv, cwd=root, env=_env(root), capture_output=True,
-                              timeout=60)
-        dt = time.perf_counter() - t0
-        if done.returncode != 0:
-            raise BenchError(f"importing caba failed: {done.stderr.decode()[-500:]}")
-        if i:
-            times.append(dt)
-    return statistics.median(times)
 
 
 def worker(root: Path, args: list[str], deadline: float) -> dict:
@@ -74,14 +55,13 @@ def measure(root: Path, workload: str, seed: int, seconds: int, trace: bool) -> 
     deadline = time.monotonic() + DEADLINE_S
     common = ["--workload", workload, "--seed", str(seed)]
     if not trace:
-        setup_s = setup_seconds(root)
         r = worker(root, [*common, "--seconds", str(seconds)], deadline)
         runs = [r]
         metrics = {
             "op_p50_s": r["op_p50_s"],
             "op_p90_s": r["op_p90_s"],
             "ops_per_s": r["ops_per_s"],
-            "setup_s": setup_s,
+            "setup_s": r["setup_s"],
             "peak_rss_mb": r["peak_rss_mb"],
             "ok_ratio": (r["attempted"] - r["failed"]) / r["attempted"],
         }

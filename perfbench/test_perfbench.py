@@ -8,6 +8,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,8 +23,9 @@ sys.path.insert(0, str(HERE))
 
 import checks  # noqa: E402
 import generators  # noqa: E402
+import worker  # noqa: E402
 import caba.cli  # noqa: E402
-from caba import parse  # noqa: E402
+from caba import constraints, parse  # noqa: E402
 from tracing import PATCHES, Tracer  # noqa: E402
 
 SAMPLE = range(12)
@@ -59,6 +61,46 @@ def test_seeds_differ(family):
 def test_generated_frameworks_are_valid(family):
     for i in SAMPLE:
         parse(generators.FAMILIES[family](3, i))
+
+
+@pytest.mark.parametrize("family", sorted(generators.FAMILIES))
+def test_blocks_repeat_their_shapes(family):
+    """Frameworks a block apart differ in constants only."""
+    block = generators.BLOCK[family]
+    make = generators.FAMILIES[family]
+    for i in SAMPLE:
+        first, later = (re.sub(r"\d+(/\d+)?", "N", make(5, j)) for j in (i, i + block))
+        assert first == later
+
+
+def test_block_reset_reaches_the_engine_caches():
+    caches = worker._caches()
+    assert constraints._conj_consistent in caches
+    assert constraints._simplify in caches
+
+
+def _ops(times: list[float], probe: float) -> list:
+    return [worker.Op(i, Path(), t, probe, 0, Path(), "") for i, t in enumerate(times)]
+
+
+def test_reference_speed_takes_out_a_slower_machine_and_keeps_a_slower_program():
+    times = [0.1, 0.2, 0.4]
+    ref = worker.PROBE_REF_S
+    assert worker.at_reference_speed(_ops(times, ref)) == times
+    slower_machine = _ops([1.5 * t for t in times], 1.5 * ref)
+    assert worker.at_reference_speed(slower_machine) == pytest.approx(times)
+    slower_program = _ops([1.5 * t for t in times], ref)
+    assert worker.at_reference_speed(slower_program) == pytest.approx([1.5 * t for t in times])
+
+
+def test_speed_probe_does_not_call_the_program():
+    tracer = Tracer()
+    tracer.install()
+    try:
+        worker.speed_probe()
+    finally:
+        tracer.uninstall()
+    assert not tracer.spans
 
 
 def test_tracer_restores_every_function():

@@ -8,20 +8,36 @@ worker writes each framework as `.caba` text, calls `caba.cli.main`
 in-process on it as a closed loop with one client, and checks every
 output after the loop, outside the timed region.  It prints one JSON
 object as its last line of standard output.
+
+The ops run in blocks of `generators.BLOCK` frameworks, and each block
+starts as a fresh process would: with the program's caches empty.  So
+the caches help within a block only, and a faster machine, which runs
+more blocks, does not also run more ops on warm caches.
+
+The machine's speed drifts by a third and more within a minute, as
+other guests of a shared host come and go.  So every op is bracketed by
+two runs of `speed_probe`, a fixed piece of pure-Python work that does
+not touch the program, and op times are reported at a reference speed:
+wall time x `PROBE_REF_S` / the mean time of the two probes around it
+(`at_reference_speed`).  A change of the program moves the op times and
+not the probes, so it moves the reported times in full.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from time import perf_counter
 from typing import Callable
@@ -36,10 +52,13 @@ import generators  # noqa: E402
 from tracing import CLI_MAIN, Tracer  # noqa: E402
 
 CHECK_MODES = ("arguments", "attacks", "extension")
-BATCH = 256
-# Peak RSS is read after this many ops, not at the end of the run: the
-# caches grow with every op, so at the end it would grow with speed.
-RSS_OPS = 100
+# What `speed_probe` takes at the reference speed: its median on the
+# machine the baseline in README.md was measured on.
+PROBE_REF_S = 0.01
+# `setup_probe` runs after each block.  Its time is reported as measured,
+# not at reference speed: the start of a process follows `speed_probe`
+# too loosely for the scaling to steady it.
+SETUP_PROBES = 1
 
 
 def _solve_ring(index: int, path: str) -> list[str]:
@@ -73,7 +92,8 @@ WORKLOADS = {
 class Op:
     index: int
     path: Path  # the framework
-    seconds: float
+    seconds: float  # wall time
+    probe: float  # mean `speed_probe` time just before and just after the op
     code: int | None  # None when the call raised
     output: Path  # standard output, kept on disk so that it does not count in the RSS
     error: str
@@ -93,40 +113,122 @@ def _call(main, argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _caches() -> list:
+    """Every `functools` cache in the program's modules."""
+    return [
+        value
+        for name, module in list(sys.modules.items())
+        if name == "caba" or name.startswith("caba.")
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+        and callable(getattr(value, "cache_info", None))
+        and not isinstance(value, type)
+    ]
+
+
+def speed_probe() -> float:
+    """Wall time of a fixed piece of work like the program's own: exact
+    rational arithmetic, tuples hashed into a dict, and a sort.  It
+    uses the standard library only, so no change of the program moves
+    it, and takes about 10 ms."""
+    t0 = perf_counter()
+    total = Fraction(0)
+    seen = {}
+    for i in range(1, 3000):
+        total += Fraction(1, i % 97 + 1)
+        seen[(i % 53, i % 7)] = total
+    sorted(seen.items())
+    return perf_counter() - t0
+
+
+def setup_probe() -> float:
+    """Wall time of a fresh interpreter that imports the CLI: the fixed
+    cost that every `caba` invocation pays before its op."""
+    t0 = perf_counter()
+    done = subprocess.run([sys.executable, "-c", "import caba.cli"],
+                          capture_output=True, text=True, timeout=60)
+    dt = perf_counter() - t0
+    if done.returncode != 0:
+        raise RuntimeError(f"importing caba failed: {done.stderr[-500:]}")
+    return dt
+
+
+@dataclass
+class Loop:
+    ops: list[Op]
+    timed: int  # the first `timed` ops make up the measured blocks
+    peak_rss_mb: float  # after the first block
+    caches: dict[str, int]  # engine cache counters, summed over blocks
+    setup: list[float]  # `setup_probe` times, `SETUP_PROBES` after each block
+
+
 def run_loop(workload: Workload, seed: int, workdir: Path, main,
              seconds: float | None, ops: int | None,
-             tracer: Tracer | None) -> tuple[list[Op], float, float]:
+             tracer: Tracer | None) -> Loop:
     """Closed loop, one client: the next op starts when the last ends.
 
-    Frameworks are written in batches before the ops that read them;
-    only op time counts towards the run length.  Returns the ops, their
-    total time and the peak RSS in MB after `RSS_OPS` ops (or all of
-    them, if fewer)."""
+    Ops run in blocks; before each block, outside the timed region, its
+    frameworks are written and the caches emptied.  With `seconds`, the
+    loop stops once the ops have taken that long, and only complete
+    blocks are measured: the ops of the last, cut block ran on colder
+    caches than the average and are checked but not timed.  After each
+    block it also times `SETUP_PROBES` runs of `setup_probe`, so that
+    they spread over the run like the ops.  With `ops`, every op is
+    measured and no `setup_probe` runs.  A `speed_probe` runs before
+    each block and after each op."""
     make = generators.FAMILIES[workload.family]
+    block = generators.BLOCK[workload.family]
     done: list[Op] = []
+    timed = 0
     busy = 0.0
-    paths: list[Path] = []
     peak_rss_mb = 0.0
+    totals: dict[str, int] = {}
+    setup: list[float] = []
+    if seconds is not None:
+        setup_probe()  # compiles the bytecode, as an installed package has it
     while (ops is None or len(done) < ops) and (seconds is None or busy < seconds):
-        index = len(done)
-        if index == len(paths):
-            for i in range(index, index + BATCH):
-                p = workdir / f"{workload.family}-{seed}-{i}.caba"
-                p.write_text(make(seed, i), encoding="utf-8")
-                paths.append(p)
-        argv = ["--format", "structured", *workload.argv(index, str(paths[index]))]
-        t0 = perf_counter()
-        code, out, err = _call(main, argv)
-        dt = perf_counter() - t0
-        if tracer is not None:
-            tracer.end_op()
-        busy += dt
-        output = paths[index].with_suffix(".json")
-        output.write_text(out, encoding="utf-8")
-        done.append(Op(index, paths[index], dt, code, output, err))
-        if len(done) <= RSS_OPS:
+        start = len(done)
+        paths = []
+        for i in range(start, start + block):
+            p = workdir / f"{workload.family}-{seed}-{i}.caba"
+            p.write_text(make(seed, i), encoding="utf-8")
+            paths.append(p)
+        for cache in _caches():
+            cache.cache_clear()
+        gc.collect()
+        before = speed_probe()
+        for index, path in enumerate(paths, start):
+            if (ops is not None and index == ops) or (seconds is not None and busy >= seconds):
+                break
+            argv = ["--format", "structured", *workload.argv(index, str(path))]
+            t0 = perf_counter()
+            code, out, err = _call(main, argv)
+            dt = perf_counter() - t0
+            if tracer is not None:
+                tracer.end_op()
+            busy += dt
+            after = speed_probe()
+            output = path.with_suffix(".json")
+            output.write_text(out, encoding="utf-8")
+            done.append(Op(index, path, dt, (before + after) / 2, code, output, err))
+            before = after
+        else:
+            timed = len(done)
+        for key, n in _cache_counts().items():
+            totals[key] = totals.get(key, 0) + n
+        if not peak_rss_mb:
             peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return done, busy, peak_rss_mb
+        if seconds is not None:
+            setup += [setup_probe() for _ in range(SETUP_PROBES)]
+    if ops is not None:
+        timed = len(done)
+    return Loop(done, timed, peak_rss_mb, totals, setup)
+
+
+def at_reference_speed(ops: list[Op]) -> list[float]:
+    """Op times scaled to the speed at which `speed_probe` takes
+    `PROBE_REF_S`."""
+    return [op.seconds * PROBE_REF_S / op.probe for op in ops]
 
 
 def check_all(workload: Workload, done: list[Op]) -> list[str]:
@@ -144,8 +246,9 @@ def check_all(workload: Workload, done: list[Op]) -> list[str]:
 
 
 def _cache_counts() -> dict[str, int]:
-    """Hits and misses of the engine's consistency and simplification
-    caches; empty for a cache that no longer exists."""
+    """Hits, misses and entries of the engine's consistency and
+    simplification caches since they were last emptied; empty for a
+    cache that no longer exists."""
     out = {}
     for key, name in (("consistency", "_conj_consistent"), ("simplify", "_simplify")):
         info = getattr(getattr(constraints, name, None), "cache_info", None)
@@ -157,8 +260,9 @@ def _cache_counts() -> dict[str, int]:
     return out
 
 
-def layer_metrics(tr: Tracer, n: int, before: dict, after: dict) -> dict[str, float]:
-    """Per-op means of the traced spans, named by layer."""
+def layer_metrics(tr: Tracer, n: int, blocks: int, caches: dict) -> dict[str, float]:
+    """Per-op means of the traced spans, named by layer; `caches` holds
+    the cache counters summed over `blocks` blocks."""
     t, c, s = tr.total, tr.calls, tr.size
 
     def per_op(x: float) -> float:
@@ -203,12 +307,13 @@ def layer_metrics(tr: Tracer, n: int, before: dict, after: dict) -> dict[str, fl
         ("consistency_misses", "consistency_cache_misses"),
         ("simplify_misses", "simplify_cache_misses"),
     ):
-        if key in after:
-            m[f"constraints.{name}"] = per_op(after[key] - before[key])
-    if "consistency_entries" in after:
-        m["constraints.cache_entries"] = float(
-            after["consistency_entries"] + after.get("simplify_entries", 0)
-        )
+        if key in caches:
+            m[f"constraints.{name}"] = per_op(caches[key])
+    if "consistency_entries" in caches:
+        # entries at the end of a block, the largest the caches grow
+        m["constraints.cache_entries"] = (
+            caches["consistency_entries"] + caches.get("simplify_entries", 0)
+        ) / blocks
     for fn in ("is_confined", "ground", "classical_arguments", "cross_check"):
         m[f"oracle.{fn}_s"] = per_op(t.get(f"oracle.{fn}", 0.0))
     m["parser.parse_file_s"] = per_op(t.get("parser.parse_file", 0.0))
@@ -233,35 +338,41 @@ def main(argv: list[str] | None = None) -> int:
     tracer = Tracer() if args.trace else None
     main_fn = caba.cli.main
     try:
-        before = _cache_counts()
         if tracer is not None:
             tracer.install()
             main_fn = tracer.wrap(CLI_MAIN, caba.cli.main)
         try:
-            done, busy, peak_rss_mb = run_loop(workload, args.seed, workdir, main_fn,
-                                               args.seconds, args.ops, tracer)
+            loop = run_loop(workload, args.seed, workdir, main_fn,
+                            args.seconds, args.ops, tracer)
         finally:
             if tracer is not None:
                 tracer.uninstall()
-        after = _cache_counts()
-        failures = check_all(workload, done)
+        failures = check_all(workload, loop.ops)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    times = sorted(op.seconds for op in done)
+    measured = loop.ops[: loop.timed]
+    if not measured:
+        print(f"worker: not one block of {args.workload} completed", file=sys.stderr)
+        return 1
+    times = sorted(at_reference_speed(measured))
     p90 = statistics.quantiles(times, n=10)[-1] if len(times) > 1 else times[0]
     result = {
-        "attempted": len(done),
+        "attempted": len(loop.ops),
         "failed": len(failures),
         "failures": failures[:20],
+        "measured": len(measured),
         "op_p50_s": statistics.median(times),
         "op_p90_s": p90,
         "ops_beyond_p90": sum(t > p90 for t in times),
-        "ops_per_s": len(done) / busy,
-        "peak_rss_mb": peak_rss_mb,
+        "ops_per_s": len(times) / sum(times),
+        "peak_rss_mb": loop.peak_rss_mb,
     }
+    if loop.setup:
+        result["setup_s"] = statistics.median(loop.setup)
     if tracer is not None:
-        result["layers"] = layer_metrics(tracer, len(done), before, after)
+        blocks = -(-len(loop.ops) // generators.BLOCK[workload.family])
+        result["layers"] = layer_metrics(tracer, len(loop.ops), blocks, loop.caches)
     print(json.dumps(result))
     return 0
 
