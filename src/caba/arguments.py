@@ -18,6 +18,7 @@ from typing import Iterable, Iterator, Mapping
 from .constraints import (
     LinearConstraint,
     LinearTerm,
+    _equate,
     _sorted,
     constraints_vars,
     is_consistent,
@@ -312,11 +313,8 @@ def generalise_claim(
         i += 1
         if name not in used:
             fresh_vars.append(name)
-    new_atom = Atom(target.predicate, tuple(LinearTerm.variable(v) for v in fresh_vars))
-    eqs = frozenset(
-        LinearConstraint.make(LinearTerm.variable(v), "=", t)
-        for v, t in zip(fresh_vars, target.args)
-    )
+    new_atom = Atom(target.predicate, tuple(map(LinearTerm.variable, fresh_vars)))
+    eqs = frozenset(_equate(new_atom.args, target.args))
     if assumption is None:
         return ConstrainedArgument(
             arg.id, new_atom, arg.constraints | eqs, arg.assumptions, arg.rules_used

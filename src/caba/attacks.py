@@ -1,22 +1,28 @@
 """Full and partial attacks between constrained arguments.
 
 An argument attacks another on an assumption whose contrary predicate
-matches the attacker's claim.  Both argument tuples are rewritten onto
-one fresh shared tuple with equality constraints; the attack is full
-when the target's region is entirely covered by the attacker's claim
-region (universal entailment after projection), partial when the two
-regions merely overlap.
+matches the attacker's claim.  The attacker is renamed apart and both
+the attacker's claim tuple and the assumption's tuple are equated to
+one fresh shared tuple; the attack is full when the target's region is
+entirely covered by the attacker's claim region (universal entailment
+after projection), partial when the two regions merely overlap.
+
+``fully_attacks`` and ``partially_attacks`` define the relation on one
+assumption; ``attack_edges`` is the one attack relation over argument
+pools, and every other module (the attack graph, splitting, compliance,
+semantics and the oracle) reads attacks from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .arguments import ConstrainedArgument
 from .constraints import (
     LinearConstraint,
     LinearTerm,
+    _equate,
     entails_projected,
     is_consistent,
 )
@@ -50,19 +56,18 @@ def _aligned_pair(
     target: ConstrainedArgument,
     assumption: Atom,
 ) -> tuple[frozenset[LinearConstraint], frozenset[LinearConstraint], frozenset[str]]:
-    """Rename the two arguments apart and equate the attacker's claim
-    tuple and the attacked assumption's tuple to one fresh tuple."""
+    """Rename the attacker apart from the target and equate its claim
+    tuple and the attacked assumption's tuple to one fresh tuple.
+
+    Returns the attacker's region, the target's region (over the
+    target's own variables) and the fresh tuple's variables.
+    """
     a = attacker.rename({v: f"_a_{v}" for v in attacker.vars()})
-    bmap = {v: f"_t_{v}" for v in target.vars()}
-    batom = assumption.rename(bmap)
     shared = tuple(f"_x{i}" for i in range(len(assumption.args)))
-    c = set(a.constraints)
-    d = {cc.rename(bmap) for cc in target.constraints}
-    for x, t in zip(shared, a.claim.args):
-        c.add(LinearConstraint.make(LinearTerm.variable(x), "=", t))
-    for x, t in zip(shared, batom.args):
-        d.add(LinearConstraint.make(LinearTerm.variable(x), "=", t))
-    return frozenset(c), frozenset(d), frozenset(shared)
+    xs = [LinearTerm.variable(x) for x in shared]
+    c = a.constraints | frozenset(_equate(xs, a.claim.args))
+    d = target.constraints | frozenset(_equate(xs, assumption.args))
+    return c, d, frozenset(shared)
 
 
 def _matching_assumptions(
@@ -117,18 +122,35 @@ def partially_attacks(
     return False
 
 
+def attack_edges(
+    attackers: Iterable[ConstrainedArgument],
+    targets: Iterable[ConstrainedArgument],
+    contraries: Mapping[str, str],
+) -> Iterator[tuple[ConstrainedArgument, ConstrainedArgument, Atom, str]]:
+    """Every attack of an attacker on an assumption of a target, as
+    ``(attacker, target, assumption, kind)`` with kind "full" or
+    "partial" (partial but not full), attackers and targets in pool
+    order and each target's assumptions in rendered order.
+
+    Overlap is tested first: it is one consistency check, and only an
+    overlapping attack needs the entailment test for its kind.
+    """
+    pool = list(targets)
+    for a in attackers:
+        for b in pool:
+            for atom in _matching_assumptions(a, b, contraries):
+                if partially_attacks(a, b, contraries, atom):
+                    full = fully_attacks(a, b, contraries, atom)
+                    yield a, b, atom, "full" if full else "partial"
+
+
 def attack_graph(
     args: Iterable[ConstrainedArgument],
     contraries: Mapping[str, str],
 ) -> list[AttackEdge]:
     """Per-assumption attack edges with the strongest kind recorded."""
     pool = list(args)
-    edges: list[AttackEdge] = []
-    for a in pool:
-        for b in pool:
-            for atom in _matching_assumptions(a, b, contraries):
-                if fully_attacks(a, b, contraries, atom):
-                    edges.append(AttackEdge(a.id, b.id, "full", atom))
-                elif partially_attacks(a, b, contraries, atom):
-                    edges.append(AttackEdge(a.id, b.id, "partial", atom))
-    return edges
+    return [
+        AttackEdge(a.id, b.id, kind, atom)
+        for a, b, atom, kind in attack_edges(pool, pool, contraries)
+    ]

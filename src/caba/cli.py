@@ -2,8 +2,8 @@
 
 Subcommands: parse, arguments, attacks, split, extensions, ground,
 check.  Output is plain text by default or JSON (``--format
-structured``, schema version 1).  Exit codes: 0 success, 1 validation
-or parse errors, 2 resource limits.
+structured``, schema version 1).  Exit codes: 0 success, 1 validation,
+parse or usage errors (and a ``check`` mismatch), 2 resource limits.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from .arguments import DEFAULT_MAX_DEPTH, build_mgcarg
 from .attacks import attack_graph
 from .errors import (
     CabaError,
+    CardinalityLimit,
     DepthExceeded,
     IterationLimit,
-    ParseError,
     UniverseTooLarge,
-    ValidationError,
 )
 from .oracle import classical_extensions, cross_check, ground
 from .parser import parse_file
@@ -35,10 +34,30 @@ SCHEMA = 1
 def parse_universe(spec: str) -> list[Fraction]:
     """``0..12`` ranges over integers; ``0,1/2,3`` lists rationals."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return [Fraction(i) for i in range(int(lo), int(hi) + 1)]
-    return [Fraction(part.strip()) for part in spec.split(",") if part.strip()]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            points = [Fraction(i) for i in range(int(lo), int(hi) + 1)]
+        else:
+            points = [Fraction(p.strip()) for p in spec.split(",") if p.strip()]
+    except (ValueError, ZeroDivisionError):
+        raise CabaError(
+            f"--universe {spec!r}: expected LO..HI over integers "
+            "or a comma-separated list of rationals"
+        ) from None
+    if not points:
+        raise CabaError(f"--universe {spec!r} has no points")
+    return points
+
+
+def _env_int(name: str, default: int) -> int:
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise CabaError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -55,7 +74,7 @@ def _split_basis(fw, args):
     return argument_splitting(mg, fw.contrary_map, args.max_iters)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="caba",
         description="Constrained assumption-based argumentation solver",
@@ -66,13 +85,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument(
         "--max-depth",
         type=int,
-        default=int(os.environ.get("CABA_MAX_DEPTH", DEFAULT_MAX_DEPTH)),
+        default=_env_int("CABA_MAX_DEPTH", DEFAULT_MAX_DEPTH),
         help="derivation depth cap for recursive rule sets",
     )
     ap.add_argument(
         "--max-iters",
         type=int,
-        default=int(os.environ.get("CABA_MAX_ITERS", DEFAULT_MAX_ITERS)),
+        default=_env_int("CABA_MAX_ITERS", DEFAULT_MAX_ITERS),
         help="repair step cap for argument splitting",
     )
     sub = ap.add_subparsers(dest="command", required=True)
@@ -107,14 +126,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument(
         "--mode", choices=("arguments", "attacks", "extension"), required=True
     )
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        return _run(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DepthExceeded, IterationLimit, UniverseTooLarge) as exc:
+        return _run(_parser().parse_args(argv))
+    except (CardinalityLimit, DepthExceeded, IterationLimit, UniverseTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except CabaError as exc:

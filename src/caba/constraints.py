@@ -215,6 +215,13 @@ def constraint(lhs: LinearTerm, rel: str, rhs: LinearTerm) -> LinearConstraint:
     return LinearConstraint.make(lhs, rel, rhs)
 
 
+def _equate(
+    lhs: Iterable[LinearTerm], rhs: Iterable[LinearTerm]
+) -> list[LinearConstraint]:
+    """Coordinate-wise equalities between two term tuples."""
+    return [LinearConstraint.make(t, EQ, u) for t, u in zip(lhs, rhs)]
+
+
 def _negation_pieces(c: LinearConstraint) -> tuple[LinearConstraint, ...]:
     e = c.expr
     if c.rel == LT:  # not(e<0) is e>=0
@@ -442,6 +449,19 @@ def _subtract(
     return pieces
 
 
+def _difference(
+    regions: Iterable[frozenset[LinearConstraint]],
+    covers: Iterable[frozenset[LinearConstraint]],
+) -> list[frozenset[LinearConstraint]]:
+    """Pieces of the regions that lie outside every cover region."""
+    rest = list(regions)
+    for cover in covers:
+        if not rest:
+            break
+        rest = [p for r in rest for p in _subtract(r, cover)]
+    return rest
+
+
 def _exclusive(
     disjuncts: Iterable[frozenset[LinearConstraint]],
 ) -> tuple[frozenset[LinearConstraint], ...]:
@@ -449,10 +469,7 @@ def _exclusive(
     originals = [d for d in disjuncts if _conj_consistent(d)]
     out: list[frozenset[LinearConstraint]] = []
     for i, d in enumerate(originals):
-        regions = [d]
-        for prev in originals[:i]:
-            regions = [p for r in regions for p in _subtract(r, prev)]
-        for r in regions:
+        for r in _difference([d], originals[:i]):
             s = _simplify(r)
             if s is not None and s not in out:
                 out.append(s)
@@ -494,11 +511,7 @@ def entails_projected(
         return not _conj_consistent(dfs)
     proj = project(cfs, keep)
     regions = [b for b in _branches(dfs) if _conj_consistent(b)]
-    for dis in proj.disjuncts:
-        regions = [p for r in regions for p in _subtract(r, dis)]
-        if not regions:
-            return True
-    return not regions
+    return not _difference(regions, proj.disjuncts)
 
 
 def _project_union(
@@ -516,15 +529,7 @@ def _covers(
     cover: list[frozenset[LinearConstraint]],
     targets: list[frozenset[LinearConstraint]],
 ) -> bool:
-    for t in targets:
-        regions = [t]
-        for d in cover:
-            regions = [p for r in regions for p in _subtract(r, d)]
-            if not regions:
-                break
-        if regions:
-            return False
-    return True
+    return not any(_difference([t], cover) for t in targets)
 
 
 def equivalent_dnf(
@@ -556,9 +561,7 @@ def constraint_split(
     pieces: list[frozenset[LinearConstraint]] = []
     for branch in _branches(dfs):
         regions = [branch] if _conj_consistent(branch) else []
-        for dis in proj.disjuncts:
-            regions = [p for r in regions for p in _subtract(r, dis)]
-        for r in regions:
+        for r in _difference(regions, proj.disjuncts):
             s = _simplify(r)
             if s is not None and s not in pieces:
                 pieces.append(s)

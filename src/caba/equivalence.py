@@ -8,20 +8,26 @@ the atoms).  All comparisons here — common instances, instance
 disjointness, and set equivalence — reduce arguments to regions over a
 canonical tuple of slot variables, one region family per shape, and
 compare the regions with exact constraint reasoning.
+
+``_sharing_pairs`` is the one instance-sharing scan: common instances,
+instance disjointness and the splitting loop all read it.
+Non-overlap reads the one attack relation, ``attacks.attack_edges``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arguments import ConstrainedArgument
+from .attacks import attack_edges
 from .constraints import (
-    ConstraintDNF,
     LinearConstraint,
     LinearTerm,
     _conj_consistent,
     _covers,
+    _difference,
+    _equate,
     _simplify,
     is_consistent,
     project,
@@ -60,12 +66,6 @@ def _partitions(items: list) -> Iterable[list[list]]:
         yield [[first]] + part
 
 
-def _tuple_eq(a: Atom, b: Atom) -> list[LinearConstraint]:
-    return [
-        LinearConstraint.make(t, "=", u) for t, u in zip(a.args, b.args)
-    ]
-
-
 def denotation(arg: ConstrainedArgument) -> Denotation:
     """Regions over canonical slot variables, grouped by shape.
 
@@ -83,20 +83,16 @@ def denotation(arg: ConstrainedArgument) -> Denotation:
     preds = sorted(by_pred)
     claim_arity = len(arg.claim.args)
     cslots = _claim_slots(claim_arity)
-    claim_eqs = [
-        LinearConstraint.make(LinearTerm.variable(v), "=", t)
-        for v, t in zip(cslots, arg.claim.args)
-    ]
+    claim_eqs = _equate(map(LinearTerm.variable, cslots), arg.claim.args)
 
     out: Denotation = {}
     for combo in product(*(_partitions(by_pred[p]) for p in preds)):
         base = set(arg.constraints) | set(claim_eqs)
-        ok = True
         for blocks in combo:
             for block in blocks:
                 rep = block[0]
                 for other in block[1:]:
-                    base.update(_tuple_eq(rep, other))
+                    base.update(_equate(rep.args, other.args))
         if not is_consistent(base):
             continue
         shape: ShapeKey = (
@@ -128,11 +124,8 @@ def denotation(arg: ConstrainedArgument) -> Denotation:
             for p, blocks, perm in zip(preds, combo, perm_combo):
                 arity = len(by_pred[p][0].args)
                 for j, which in enumerate(perm):
-                    rep = blocks[which][0]
-                    for v, t in zip(_atom_slots(p, j, arity), rep.args):
-                        slot_eqs.append(
-                            LinearConstraint.make(LinearTerm.variable(v), "=", t)
-                        )
+                    slots = map(LinearTerm.variable, _atom_slots(p, j, arity))
+                    slot_eqs.extend(_equate(slots, blocks[which][0].args))
             for choice in coord_choices:
                 full = set(base) | set(slot_eqs)
                 for (x, y), coord in zip(diseq_pairs, choice):
@@ -165,47 +158,38 @@ def shape_atoms(shape: ShapeKey, claim_arity: int) -> tuple[Atom, tuple[Atom, ..
 # ------------------------------------------------------------ predicates
 
 
+def _sharing_pairs(denos: Sequence[Denotation]) -> Iterator[tuple[int, int]]:
+    """Index pairs i < j, in order, whose denotations share a ground
+    instance.  Callers compute each denotation once per scan."""
+    for i, di in enumerate(denos):
+        for j in range(i + 1, len(denos)):
+            dj = denos[j]
+            if any(
+                is_consistent(r | other)
+                for shape, regions in di.items()
+                for other in dj.get(shape, ())  # regions over identical slots
+                for r in regions
+            ):
+                yield i, j
+
+
 def common_instances(a: ConstrainedArgument, b: ConstrainedArgument) -> bool:
     """Do the two arguments share a ground instance?"""
-    da, db = denotation(a), denotation(b)
-    for shape, regions in da.items():
-        for other in db.get(shape, ()):  # regions over identical slots
-            for r in regions:
-                if is_consistent(r | other):
-                    return True
-    return False
+    return any(_sharing_pairs([denotation(a), denotation(b)]))
 
 
 def instance_disjoint(args: Iterable[ConstrainedArgument]) -> bool:
-    pool = list(args)
-    denos = [denotation(a) for a in pool]
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            for shape, regions in denos[i].items():
-                for other in denos[j].get(shape, ()):
-                    for r in regions:
-                        if is_consistent(r | other):
-                            return False
-    return True
+    # every denotation is taken, so an argument beyond the exact-pairing
+    # limit raises CardinalityLimit even when it has no partner
+    return not any(_sharing_pairs([denotation(a) for a in args]))
 
 
 def non_overlapping(
     args: Iterable[ConstrainedArgument], contraries: Mapping[str, str]
 ) -> bool:
     """Within the set, every partial attack is full."""
-    from .attacks import fully_attacks, partially_attacks
-
     pool = list(args)
-    for a in pool:
-        for b in pool:
-            for atom in sorted(b.assumptions, key=Atom.render):
-                if contraries.get(atom.predicate) != a.claim.predicate:
-                    continue
-                if partially_attacks(a, b, contraries, atom) and not fully_attacks(
-                    a, b, contraries, atom
-                ):
-                    return False
-    return True
+    return all(kind == "full" for *_, kind in attack_edges(pool, pool, contraries))
 
 
 def set_equiv(
@@ -242,12 +226,8 @@ def set_equiv_witness(
 def _describe(
     shape: ShapeKey, side: str, regions: list[Region], cover: list[Region]
 ) -> str:
-    from .constraints import _subtract
-
     for r in regions:
-        rest = [r]
-        for c in cover:
-            rest = [p for x in rest for p in _subtract(x, c)]
+        rest = _difference([r], cover)
         if rest:
             simplified = _simplify(rest[0])
             body = ", ".join(

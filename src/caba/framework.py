@@ -132,13 +132,6 @@ class CabaFramework:
                 sig.setdefault(a.predicate, len(a.args))
         return sig
 
-    def contrary_of(self, predicate: str) -> str | None:
-        return self.contrary_map.get(predicate)
-
-    def attacker_predicates(self) -> dict[str, str]:
-        """Map contrary predicate -> the assumption predicate it defeats."""
-        return {c: p for p, c in self.contrary_map.items()}
-
     # ------------------------------------------------------- validation
 
     def validate(self) -> list[Diagnostic]:

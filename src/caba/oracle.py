@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .arguments import ConstrainedArgument, GroundArgument, ground_instances
+from .arguments import ConstrainedArgument, GroundArgument, _eval_atom, ground_instances
+from .attacks import attack_edges
 from .constraints import LinearConstraint, LinearTerm, is_consistent
 from .errors import UniverseTooLarge
 from .framework import Atom, CabaFramework, Rule
@@ -54,13 +55,6 @@ class Report:
         }
 
 
-def _const_atom(atom: Atom, subst: Mapping[str, LinearTerm]) -> Atom:
-    return Atom(
-        atom.predicate,
-        tuple(LinearTerm.constant(t.substitute(subst).value()) for t in atom.args),
-    )
-
-
 def ground(
     framework: CabaFramework, universe: Iterable[Fraction]
 ) -> GroundAbaFramework:
@@ -82,9 +76,9 @@ def ground(
             rules.append(
                 Rule(
                     f"{rule.id}@{'/'.join(str(q) for q in values)}",
-                    _const_atom(rule.head, subst),
+                    _eval_atom(rule.head, subst),
                     frozenset(),
-                    tuple(_const_atom(a, subst) for a in rule.body_atoms),
+                    tuple(_eval_atom(a, subst) for a in rule.body_atoms),
                 )
             )
     assumptions: set[Atom] = set()
@@ -261,9 +255,11 @@ def cross_check(
         return Report("EXACT-MATCH" if confined else "PARTIAL", mode, None, notes)
 
     if mode == "attacks":
-        from .attacks import fully_attacks, partially_attacks
-
-        contraries = framework.contrary_map
+        kinds: dict[tuple[str, str], set[str]] = {}
+        for a, b, _, kind in attack_edges(
+            native_result, native_result, framework.contrary_map
+        ):
+            kinds.setdefault((a.id, b.id), set()).add(kind)
         att = classical_attacks(g, classical)
         insts = {a.id: ground_instances(a, uni) for a in native_result}
         for a in native_result:
@@ -273,8 +269,8 @@ def cross_check(
                 every = bool(gb) and all(
                     any((x, y) in att for x in ga) for y in gb
                 )
-                full = fully_attacks(a, b, contraries)
-                partial = partially_attacks(a, b, contraries)
+                partial = (a.id, b.id) in kinds
+                full = "full" in kinds.get((a.id, b.id), ())
                 if confined:
                     if full != every and gb:
                         return Report(

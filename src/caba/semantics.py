@@ -7,7 +7,8 @@ sets counter every full attacker, and stable sets fully attack all
 outsiders.  A native check for stability without enumeration is also
 provided: a set is stable when it is conflict-free (no partial attack)
 and, together with everything it fully attacks, denotes the whole
-argument set.
+argument set.  All attacks are read from the one attack relation,
+``attacks.attack_edges``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .arguments import ConstrainedArgument
-from .attacks import fully_attacks, partially_attacks
-from .equivalence import instance_disjoint, non_overlapping, set_equiv
+from .attacks import attack_edges
+from .equivalence import instance_disjoint, set_equiv
 from .errors import BasisNotCompliant
+
+# perfbench/tracing.py wraps these names in this module
+from .attacks import fully_attacks  # noqa: F401
+from .equivalence import non_overlapping  # noqa: F401
 
 SEMANTICS = ("conflict_free", "admissible", "stable")
 
@@ -41,9 +46,7 @@ def is_ngcf(
 ) -> bool:
     """Conflict-free in the strong sense: no internal partial attack."""
     pool = list(sigma)
-    return not any(
-        partially_attacks(a, b, contraries) for a in pool for b in pool
-    )
+    return not any(attack_edges(pool, pool, contraries))
 
 
 def fatt(
@@ -56,7 +59,7 @@ def fatt(
     return [
         b
         for b in delta
-        if any(fully_attacks(a, b, contraries) for a in pool)
+        if any(kind == "full" for *_, kind in attack_edges(pool, [b], contraries))
     ]
 
 
@@ -83,18 +86,14 @@ def enumerate_extensions(
     basis = sorted(delta, key=lambda a: a.id)
     if not instance_disjoint(basis):
         raise BasisNotCompliant("basis is not instance-disjoint")
-    if not non_overlapping(basis, contraries):
-        raise BasisNotCompliant("basis is not non-overlapping")
 
     n = len(basis)
-    attacks = [
-        [
-            j
-            for j in range(n)
-            if fully_attacks(basis[i], basis[j], contraries)
-        ]
-        for i in range(n)
-    ]
+    index = {a.id: i for i, a in enumerate(basis)}
+    attacks: list[set[int]] = [set() for _ in range(n)]
+    for a, b, _, kind in attack_edges(basis, basis, contraries):
+        if kind == "partial":
+            raise BasisNotCompliant("basis is not non-overlapping")
+        attacks[index[a.id]].add(index[b.id])
     attacked_by = [
         [i for i in range(n) if j in attacks[i]] for j in range(n)
     ]

@@ -10,22 +10,25 @@ applies them until no violating pair remains.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .arguments import ConstrainedArgument, canonicalise
-from .attacks import fully_attacks, partially_attacks
+from .attacks import _aligned_pair, attack_edges, partially_attacks
 from .constraints import (
     LinearConstraint,
-    LinearTerm,
     _conj_consistent,
+    _difference,
     _exclusive,
-    _subtract,
     constraint_split,
     project,
 )
-from .equivalence import common_instances, denotation, shape_atoms
+from .equivalence import _sharing_pairs, common_instances, denotation, shape_atoms
 from .errors import IterationLimit, PreconditionViolated
 from .framework import Atom
+
+# perfbench/tracing.py wraps this name in this module
+from .attacks import fully_attacks  # noqa: F401
 
 DEFAULT_MAX_ITERS = 10_000
 
@@ -42,9 +45,7 @@ def split_ci(
     out: list[ConstrainedArgument] = []
     k = 0
     for shape in sorted(db):
-        regions = list(_exclusive(db[shape]))
-        for cover in da.get(shape, ()):
-            regions = [p for r in regions for p in _subtract(r, cover)]
+        regions = _difference(_exclusive(db[shape]), da.get(shape, ()))
         claim, assumption_atoms = shape_atoms(shape, len(b.claim.args))
         for region in regions:
             k += 1
@@ -67,13 +68,10 @@ def _attack_witness(
     """The assumption on which a partially but not fully attacks b,
     else the first partially attacked one."""
     fallback = None
-    for atom in sorted(b.assumptions, key=Atom.render):
-        if contraries.get(atom.predicate) != a.claim.predicate:
-            continue
-        if partially_attacks(a, b, contraries, atom):
-            if not fully_attacks(a, b, contraries, atom):
-                return atom
-            fallback = fallback or atom
+    for _, _, atom, kind in attack_edges([a], [b], contraries):
+        if kind == "partial":
+            return atom
+        fallback = fallback or atom
     return fallback
 
 
@@ -88,23 +86,16 @@ def split_pa(
     atom = assumption or _attack_witness(a, b, contraries)
     if atom is None or not partially_attacks(a, b, contraries, atom):
         raise PreconditionViolated(f"{a.id} does not partially attack {b.id}")
-    ar = a.rename({v: f"_a_{v}" for v in a.vars()})
-    shared = tuple(f"_x{i}" for i in range(len(atom.args)))
-    c = set(ar.constraints)
-    for x, t in zip(shared, ar.claim.args):
-        c.add(LinearConstraint.make(LinearTerm.variable(x), "=", t))
-    d = set(b.constraints)
-    for x, t in zip(shared, atom.args):
-        d.add(LinearConstraint.make(LinearTerm.variable(x), "=", t))
+    c, d, shared = _aligned_pair(a, b, atom)
     keep = b.atom_vars()
 
     regions: list[frozenset[LinearConstraint]] = []
     # fully attacked remainder: joint region of attack and target
-    joint = frozenset(c) | frozenset(d)
+    joint = c | d
     if _conj_consistent(joint):
         regions.extend(project(joint, keep).disjuncts)
     # unattacked pieces: target region outside the attack's projection
-    for piece in constraint_split(frozenset(c), frozenset(d), frozenset(shared)).disjuncts:
+    for piece in constraint_split(c, d, shared).disjuncts:
         regions.extend(project(piece, keep).disjuncts)
 
     out = []
@@ -144,30 +135,23 @@ def argument_splitting(
 def _first_violation(
     pool: list[ConstrainedArgument], contraries: Mapping[str, str]
 ):
-    ci_pairs = []
-    for i in range(len(pool)):
-        for j in range(i + 1, len(pool)):
-            x, y = pool[i], pool[j]
-            if x.claim.predicate != y.claim.predicate:
-                continue
-            if common_instances(x, y):
-                # the lexicographically larger rendering is replaced
-                alpha, beta = sorted((x, y), key=ConstrainedArgument.render)
-                ci_pairs.append((alpha.id, beta.id, alpha, beta))
+    # only arguments with equal claim predicates can share an instance
+    claims = Counter(x.claim.predicate for x in pool)
+    denos = [denotation(x) if claims[x.claim.predicate] > 1 else {} for x in pool]
+    # the lexicographically larger rendering is replaced
+    ci_pairs = [
+        sorted((pool[i], pool[j]), key=ConstrainedArgument.render)
+        for i, j in _sharing_pairs(denos)
+    ]
     if ci_pairs:
-        _, _, alpha, beta = min(ci_pairs, key=lambda t: (t[0], t[1]))
+        alpha, beta = min(ci_pairs, key=lambda t: (t[0].id, t[1].id))
         return ("ci", alpha, beta, None)
-    pa_pairs = []
-    for a in pool:
-        for b in pool:
-            for atom in sorted(b.assumptions, key=Atom.render):
-                if contraries.get(atom.predicate) != a.claim.predicate:
-                    continue
-                if partially_attacks(a, b, contraries, atom) and not fully_attacks(
-                    a, b, contraries, atom
-                ):
-                    pa_pairs.append((a.id, b.id, a, b, atom))
-    if pa_pairs:
-        _, _, a, b, atom = min(pa_pairs, key=lambda t: (t[0], t[1]))
+    pa_edges = [
+        (a, b, atom)
+        for a, b, atom, kind in attack_edges(pool, pool, contraries)
+        if kind == "partial"
+    ]
+    if pa_edges:
+        a, b, atom = min(pa_edges, key=lambda t: (t[0].id, t[1].id))
         return ("pa", a, b, atom)
     return None

@@ -1,11 +1,14 @@
 import random
 from pathlib import Path
 
-from caba.arguments import build_mgcarg
-from caba.attacks import attack_graph, fully_attacks, partially_attacks
-from caba.parser import parse_file
+import pytest
 
-from generators import random_argument
+from caba.arguments import build_mgcarg
+from caba.attacks import attack_edges, attack_graph, fully_attacks, partially_attacks
+from caba.parser import parse_file
+from caba.splitting import argument_splitting
+
+from generators import random_argument, random_bounded_framework
 
 CORPUS = Path(__file__).parent.parent / "src" / "caba" / "corpus"
 
@@ -125,3 +128,56 @@ class TestProperties:
                 assert fully_attacks(x, y, fw.contrary_map) == partially_attacks(
                     x, y, fw.contrary_map
                 )
+
+
+def assert_edges_match_definitions(pool, contraries):
+    """attack_edges yields an edge on (a, b, alpha) exactly when a
+    partially attacks b on alpha, of kind full exactly when a fully
+    attacks b on alpha, in pool order and rendered assumption order."""
+    edges = list(attack_edges(pool, pool, contraries))
+    kinds = {(id(a), id(b), atom): kind for a, b, atom, kind in edges}
+    assert len(kinds) == len(edges)
+    pos = {id(x): i for i, x in enumerate(pool)}
+    order = [(pos[id(a)], pos[id(b)], atom.render()) for a, b, atom, _ in edges]
+    assert order == sorted(order)
+    triples = 0
+    for a in pool:
+        for b in pool:
+            for atom in b.assumptions:
+                if contraries.get(atom.predicate) != a.claim.predicate:
+                    continue
+                triples += 1
+                kind = kinds.pop((id(a), id(b), atom), None)
+                assert (kind == "full") == fully_attacks(a, b, contraries, atom)
+                assert (kind is not None) == partially_attacks(a, b, contraries, atom)
+    assert not kinds  # no edge on an assumption without a matching contrary
+    return triples
+
+
+class TestAttackEdges:
+    @pytest.mark.parametrize("name", ["FA", "cpcq", "frameworkB", "micro", "tax"])
+    def test_corpus_matches_definitions(self, name):
+        fw = parse_file(CORPUS / f"{name}.caba")
+        args = build_mgcarg(fw)
+        assert_edges_match_definitions(args, fw.contrary_map)
+        basis = argument_splitting(args, fw.contrary_map)
+        assert_edges_match_definitions(basis, fw.contrary_map)
+
+    def test_generated_frameworks_match_definitions(self):
+        rng = random.Random(31)
+        triples = 0
+        for _ in range(40):
+            fw = random_bounded_framework(rng)
+            triples += assert_edges_match_definitions(
+                build_mgcarg(fw), fw.contrary_map
+            )
+        assert triples > 0
+
+    def test_generated_unary_pools_match_definitions(self):
+        rng = random.Random(37)
+        for _ in range(15):
+            pool = [
+                random_argument(rng, claim_pred=rng.choice(["p", "q", "r"]))
+                for _ in range(4)
+            ]
+            assert_edges_match_definitions(pool, {"a": "p", "b": "q"})

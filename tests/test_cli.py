@@ -60,6 +60,23 @@ class TestExitCodes:
         assert code == 2
         assert "resource limit" in err
 
+    def test_cardinality_limit(self, capsys, tmp_path):
+        # five same-predicate assumptions are beyond exact pairing.  split
+        # takes denotations only of arguments whose claim predicate occurs
+        # twice, so never p:1's; the extensions compliance check takes all
+        five = tmp_path / "five.caba"
+        five.write_text(
+            "assumption a(X) contrary ca(X).\n"
+            "p(X) <- a(X), a(Y), a(Z), a(U), a(W), "
+            "X >= 0, Y >= 1, Z >= 2, U >= 3, W >= 4.\n"
+        )
+        code, _, err = run(capsys, "extensions", str(five))
+        assert code == 2
+        assert err.startswith("resource limit:")
+        assert "exact-pairing limit" in err
+        code, _, _ = run(capsys, "split", str(five))
+        assert code == 0
+
     def test_check_mismatch_would_exit_1(self, capsys):
         # a healthy framework: no mismatch, exit 0
         code, out, _ = run(
@@ -67,6 +84,26 @@ class TestExitCodes:
         )
         assert code == 0
         assert "MISMATCH" not in out
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("spec", ["0..", "abc", ","])
+    @pytest.mark.parametrize(
+        "command", [("ground",), ("check", "--mode", "attacks")], ids=["ground", "check"]
+    )
+    def test_bad_universe(self, capsys, command, spec):
+        code, out, err = run(capsys, command[0], B, "--universe", spec, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --universe") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("var", ["CABA_MAX_DEPTH", "CABA_MAX_ITERS"])
+    def test_non_integer_env_limit(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "x")
+        code, out, err = run(capsys, "parse", FA)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {var} must be an integer, got 'x'\n"
 
 
 class TestValidation:
