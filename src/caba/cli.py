@@ -3,7 +3,8 @@
 Subcommands: parse, arguments, attacks, split, extensions, ground,
 check.  Output is plain text by default or JSON (``--format
 structured``, schema version 1).  Exit codes: 0 success, 1 validation,
-parse or usage errors (and a ``check`` mismatch), 2 resource limits.
+parse or usage errors and unreadable input (and a ``check`` mismatch),
+2 resource limits.
 """
 
 from __future__ import annotations
@@ -55,9 +56,16 @@ def _env_int(name: str, default: int) -> int:
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise CabaError(f"{name} must be an integer, got {raw!r}") from None
+    return _non_negative(name, value)
+
+
+def _non_negative(name: str, value: int) -> int:
+    if value < 0:
+        raise CabaError(f"{name} must not be negative, got {value}")
+    return value
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -141,7 +149,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    fw = parse_file(args.input)
+    _non_negative("--max-depth", args.max_depth)
+    _non_negative("--max-iters", args.max_iters)
+    try:
+        fw = parse_file(args.input)
+    except OSError as exc:
+        raise CabaError(f"cannot read {args.input}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CabaError(
+            f"cannot read {args.input}: not UTF-8 text (byte {exc.start})"
+        ) from None
 
     if args.command == "parse":
         _emit(args, fw.to_object(), fw.render())
@@ -186,7 +203,9 @@ def _run(args) -> int:
     if args.command == "extensions":
         semantics = args.semantics.replace("-", "_")
         basis = _split_basis(fw, args)
-        exts = enumerate_extensions(basis, semantics, fw.contrary_map)
+        exts = enumerate_extensions(
+            basis, semantics, fw.contrary_map, basis.attacks
+        )
         payload = {"basis": [a.to_object() for a in basis],
                    "extensions": [e.to_object() for e in exts]}
         lines = [f"basis of {len(basis)} arguments; "
@@ -243,7 +262,9 @@ def _run(args) -> int:
         uni = parse_universe(args.universe)
         if args.mode == "extension":
             basis = _split_basis(fw, args)
-            exts = enumerate_extensions(basis, "stable", fw.contrary_map)
+            exts = enumerate_extensions(
+                basis, "stable", fw.contrary_map, basis.attacks
+            )
             byid = {a.id: a for a in basis}
             reports = [
                 cross_check(fw, uni, [byid[m] for m in e.members], "extension")

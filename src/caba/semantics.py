@@ -75,27 +75,48 @@ def check_stable_native(
     return set_equiv(sigma + fatt(sigma, delta, contraries), delta)
 
 
+def _full_attacks(
+    basis: list[ConstrainedArgument], contraries: Mapping[str, str]
+) -> set[tuple[str, str]]:
+    """The full attacks of a basis as (attacker id, target id) pairs,
+    once the basis is checked instance-disjoint and non-overlapping."""
+    if not instance_disjoint(basis):
+        raise BasisNotCompliant("basis is not instance-disjoint")
+    out = set()
+    for a, b, _, kind in attack_edges(basis, basis, contraries):
+        if kind == "partial":
+            raise BasisNotCompliant("basis is not non-overlapping")
+        out.add((a.id, b.id))
+    return out
+
+
 def enumerate_extensions(
     delta: Iterable[ConstrainedArgument],
     semantics: str,
     contraries: Mapping[str, str],
+    attacks: Iterable[tuple[str, str]] | None = None,
 ) -> list[Extension]:
-    """All subsets of the basis accepted under the given semantics."""
+    """All subsets of the basis accepted under the given semantics.
+
+    ``attacks`` is the basis's full-attack matrix as (attacker id,
+    target id) pairs, as ``argument_splitting`` returns it with the
+    basis (``SplitBasis.attacks``): the repair loop stops only on a
+    compliant basis, so the check is not repeated.  Without it the basis
+    is checked and its attacks are computed here.
+    """
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     basis = sorted(delta, key=lambda a: a.id)
-    if not instance_disjoint(basis):
-        raise BasisNotCompliant("basis is not instance-disjoint")
+    if attacks is None:
+        attacks = _full_attacks(basis, contraries)
 
     n = len(basis)
     index = {a.id: i for i, a in enumerate(basis)}
-    attacks: list[set[int]] = [set() for _ in range(n)]
-    for a, b, _, kind in attack_edges(basis, basis, contraries):
-        if kind == "partial":
-            raise BasisNotCompliant("basis is not non-overlapping")
-        attacks[index[a.id]].add(index[b.id])
+    matrix: list[set[int]] = [set() for _ in range(n)]
+    for a, b in attacks:
+        matrix[index[a]].add(index[b])
     attacked_by = [
-        [i for i in range(n) if j in attacks[i]] for j in range(n)
+        [i for i in range(n) if j in matrix[i]] for j in range(n)
     ]
     out: list[Extension] = []
     ids = tuple(a.id for a in basis)
@@ -105,12 +126,12 @@ def enumerate_extensions(
             return True
         if semantics == "admissible":
             return all(
-                any(b in attacks[g] for g in chosen)
+                any(b in matrix[g] for g in chosen)
                 for m in chosen
                 for b in attacked_by[m]
             )
         return all(
-            any(j in attacks[g] for g in chosen)
+            any(j in matrix[g] for g in chosen)
             for j in range(n)
             if j not in chosen
         )
@@ -128,8 +149,8 @@ def enumerate_extensions(
         search(i + 1, chosen)  # exclude basis[i]
         # include basis[i] unless it conflicts with the current choice
         if all(
-            i not in attacks[g] and g not in attacks[i] for g in chosen
-        ) and i not in attacks[i]:
+            i not in matrix[g] and g not in matrix[i] for g in chosen
+        ) and i not in matrix[i]:
             chosen.add(i)
             search(i + 1, chosen)
             chosen.remove(i)

@@ -61,21 +61,34 @@ class TestExitCodes:
         assert "resource limit" in err
 
     def test_cardinality_limit(self, capsys, tmp_path):
-        # five same-predicate assumptions are beyond exact pairing.  split
-        # takes denotations only of arguments whose claim predicate occurs
-        # twice, so never p:1's; the extensions compliance check takes all
+        # five same-predicate assumptions are beyond exact pairing.
+        # Splitting takes the denotation of an argument only once another
+        # argument has its claim predicate, so never p:1's alone; extensions
+        # reads the split basis's attack matrix and takes none either
         five = tmp_path / "five.caba"
         five.write_text(
             "assumption a(X) contrary ca(X).\n"
             "p(X) <- a(X), a(Y), a(Z), a(U), a(W), "
             "X >= 0, Y >= 1, Z >= 2, U >= 3, W >= 4.\n"
         )
-        code, _, err = run(capsys, "extensions", str(five))
-        assert code == 2
-        assert err.startswith("resource limit:")
-        assert "exact-pairing limit" in err
-        code, _, _ = run(capsys, "split", str(five))
+        paired = tmp_path / "paired.caba"
+        paired.write_text(five.read_text() + "p(X) <- X < 0.\n")
+        for command in ("split", "extensions"):
+            code, _, _ = run(capsys, command, str(five))
+            assert code == 0
+            code, _, err = run(capsys, command, str(paired))
+            assert code == 2
+            assert err.startswith("resource limit:")
+            assert "exact-pairing limit" in err
+
+    def test_zero_repairs_on_compliant_framework(self, capsys):
+        code, _, _ = run(capsys, "--max-iters", "0", "split", str(CORPUS / "tax.caba"))
         assert code == 0
+        code, _, err = run(capsys, "--max-iters", "0", "split", str(CORPUS / "micro.caba"))
+        assert code == 2
+        assert err == (
+            "resource limit: argument splitting did not converge within 0 repairs\n"
+        )
 
     def test_check_mismatch_would_exit_1(self, capsys):
         # a healthy framework: no mismatch, exit 0
@@ -104,6 +117,43 @@ class TestBadInput:
         assert code == 1
         assert out == ""
         assert err == f"error: {var} must be an integer, got 'x'\n"
+
+
+    @pytest.mark.parametrize(
+        "path, reason",
+        [("missing.caba", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_input(self, capsys, tmp_path, path, reason):
+        target = str(tmp_path / path)
+        code, out, err = run(capsys, "split", target)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot read {target}: {reason}\n"
+
+    def test_input_not_utf8(self, capsys, tmp_path):
+        bad = tmp_path / "bad.caba"
+        bad.write_bytes(b"p(X) <- X > 0. # \xff\n")
+        code, out, err = run(capsys, "parse", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: not UTF-8")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--max-depth", "--max-iters"])
+    def test_negative_limit(self, capsys, flag):
+        code, out, err = run(capsys, flag, "-1", "parse", FA)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {flag} must not be negative, got -1\n"
+
+    @pytest.mark.parametrize("var", ["CABA_MAX_DEPTH", "CABA_MAX_ITERS"])
+    def test_negative_env_limit(self, capsys, monkeypatch, var):
+        monkeypatch.setenv(var, "-3")
+        code, out, err = run(capsys, "parse", FA)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {var} must not be negative, got -3\n"
 
 
 class TestValidation:

@@ -118,6 +118,20 @@ class TestEnumerate:
             enumerate_extensions(build_mgcarg(fw), "stable", fw.contrary_map)
 
 
+class TestSplitMatrix:
+    """The attack matrix that splitting returns with its basis gives the
+    same extensions as the full compliance check on a bare list."""
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.caba")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("semantics", ["conflict_free", "admissible", "stable"])
+    def test_matrix_and_bare_list_agree(self, path, semantics):
+        fw = parse_file(path)
+        basis = argument_splitting(build_mgcarg(fw), fw.contrary_map)
+        assert enumerate_extensions(
+            basis, semantics, fw.contrary_map, basis.attacks
+        ) == enumerate_extensions(list(basis), semantics, fw.contrary_map)
+
+
 class TestCheckStableNative:
     def test_agreement_with_enumeration(self):
         for name in ("FA", "cpcq"):

@@ -1,23 +1,27 @@
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from caba.arguments import ConstrainedArgument, build_mgcarg
-from caba.attacks import fully_attacks, partially_attacks
+from caba.attacks import attack_edges, fully_attacks, partially_attacks
 from caba.constraints import LinearTerm, constraint
 from caba.equivalence import (
+    _sharing_pairs,
     common_instances,
+    denotation,
     instance_disjoint,
     non_overlapping,
     set_equiv,
 )
 from caba.errors import IterationLimit, PreconditionViolated
 from caba.framework import Atom
-from caba.parser import parse_file
+from caba.parser import parse, parse_file
 from caba.splitting import argument_splitting, split_ci, split_pa
 
-from generators import random_argument
+from generators import random_argument, random_bounded_framework
 
 CORPUS = Path(__file__).parent.parent / "src" / "caba" / "corpus"
 V = LinearTerm.variable
@@ -167,3 +171,145 @@ class TestArgumentSplitting:
         with pytest.raises(IterationLimit) as err:
             argument_splitting(build_mgcarg(fw), fw.contrary_map, max_iters=1)
         assert err.value.partial
+
+
+def rescan_splitting(args, contraries, max_iters=10_000):
+    """Reference loop: every repair rescans every pair of the pool,
+    re-deriving each denotation and each attack edge.  Returns the basis
+    and the number of repairs made."""
+    pool = list(args)
+    for repairs in range(max_iters + 1):
+        claims = Counter(x.claim.predicate for x in pool)
+        denos = [denotation(x) if claims[x.claim.predicate] > 1 else {} for x in pool]
+        ci = [
+            sorted((pool[i], pool[j]), key=ConstrainedArgument.render)
+            for i, j in _sharing_pairs(denos)
+        ]
+        pa = [] if ci else [
+            (a, b, atom)
+            for a, b, atom, kind in attack_edges(pool, pool, contraries)
+            if kind == "partial"
+        ]
+        if not ci and not pa:
+            return pool, repairs
+        if repairs == max_iters:
+            raise IterationLimit("reference loop did not converge", partial=pool)
+        if ci:
+            a, b = min(ci, key=lambda t: (t[0].id, t[1].id))
+            pieces = split_ci(a, b)
+        else:
+            a, b, atom = min(pa, key=lambda t: (t[0].id, t[1].id))
+            pieces = split_pa(a, b, contraries, atom)
+        pool = [x for x in pool if x is not b] + pieces
+
+
+def listing(args):
+    return [(a.id, a.render()) for a in args]
+
+
+def ring_text(thresholds):
+    """An n-way generalisation of cpcq: p_i is attacked by c_i, which
+    p_{i+1} derives above the i-th threshold."""
+    n = len(thresholds)
+    lines = [f"assumption p{i}(X) contrary c{i}(X)." for i in range(1, n + 1)]
+    for i, t in enumerate(thresholds, start=1):
+        lines.append(f"c{i}(X) <- p{i % n + 1}(X), X >= {t}.")
+    return "\n".join(lines) + "\n"
+
+
+RINGS = {
+    "falling": ring_text(["5", "3", "1"]),
+    "rising": ring_text(["1", "5/2", "4"]),
+    "equal": ring_text(["2", "2", "2"]),
+    "pair": ring_text(["0", "7/3"]),
+}
+
+
+class TestWorklistMatchesRescan:
+    """The worklist repairs the same pairs, in the same order, as a
+    loop that rescans the whole pool after every repair."""
+
+    def check(self, args, contraries, max_iters=10_000):
+        args = list(args)
+        want, _ = rescan_splitting(args, contraries, max_iters)
+        got = argument_splitting(args, contraries, max_iters)
+        assert listing(got) == listing(want)
+        # recomputed from scratch, not read from the loop's memo
+        assert instance_disjoint(got)
+        assert non_overlapping(got, contraries)
+        assert got.attacks == {
+            (a.id, b.id) for a, b, _, _ in attack_edges(got, got, contraries)
+        }
+        return got
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.caba")), ids=lambda p: p.stem)
+    def test_corpus(self, path):
+        fw = parse_file(path)
+        self.check(build_mgcarg(fw), fw.contrary_map)
+
+    @pytest.mark.parametrize("name", sorted(RINGS))
+    def test_rings(self, name):
+        fw = parse(RINGS[name])
+        args = build_mgcarg(fw)
+        assert len(self.check(args, fw.contrary_map)) > len(args)
+
+    def test_random_frameworks(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            fw = random_bounded_framework(rng)
+            self.check(build_mgcarg(fw), fw.contrary_map)
+
+    def test_random_pools(self):
+        # some of these pools split without end (each pa repair leaves a
+        # piece that partially attacks the next); both loops must then
+        # stop at the budget with the same partial pool
+        rng = random.Random(11)
+        contraries = {"a": "p", "b": "r"}
+        converged = 0
+        for _ in range(20):
+            pool = [
+                replace(random_argument(rng, rng.choice(["p", "r"])), id=f"g{k}")
+                for k in range(rng.randint(2, 4))
+            ]
+            try:
+                self.check(pool, contraries, max_iters=6)
+                converged += 1
+            except IterationLimit as err:
+                with pytest.raises(IterationLimit) as got:
+                    argument_splitting(pool, contraries, max_iters=6)
+                assert listing(got.value.partial) == listing(err.partial)
+        assert converged >= 15
+
+
+class TestRepairBudget:
+    """max_iters bounds the repairs, not the checks."""
+
+    def test_compliant_set_needs_no_repair(self):
+        fw = parse_file(CORPUS / "tax.caba")
+        args = build_mgcarg(fw)
+        out = argument_splitting(args, fw.contrary_map, max_iters=0)
+        assert [a.render() for a in out] == [a.render() for a in args]
+
+    def test_split_basis_passes_with_zero(self):
+        fw = parse_file(CORPUS / "cpcq.caba")
+        basis = argument_splitting(build_mgcarg(fw), fw.contrary_map)
+        again = argument_splitting(basis, fw.contrary_map, max_iters=0)
+        assert list(again) == list(basis)
+        assert again.attacks == basis.attacks
+
+    def test_exact_budget_converges(self):
+        fw = parse_file(CORPUS / "cpcq.caba")
+        args = build_mgcarg(fw)
+        _, needed = rescan_splitting(args, fw.contrary_map)
+        assert needed > 0
+        argument_splitting(args, fw.contrary_map, max_iters=needed)
+        with pytest.raises(IterationLimit) as err:
+            argument_splitting(args, fw.contrary_map, max_iters=needed - 1)
+        assert err.value.partial
+
+    def test_violation_with_zero_budget(self):
+        fw = parse_file(CORPUS / "micro.caba")
+        args = build_mgcarg(fw)
+        with pytest.raises(IterationLimit) as err:
+            argument_splitting(args, fw.contrary_map, max_iters=0)
+        assert err.value.partial == args
