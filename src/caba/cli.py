@@ -24,7 +24,7 @@ from .errors import (
     IterationLimit,
     UniverseTooLarge,
 )
-from .oracle import classical_extensions, cross_check, ground
+from .oracle import GROUNDING_CAP, classical_extensions, cross_check, ground
 from .parser import parse_file
 from .semantics import enumerate_extensions
 from .splitting import DEFAULT_MAX_ITERS, argument_splitting
@@ -37,8 +37,13 @@ def parse_universe(spec: str) -> list[Fraction]:
     spec = spec.strip()
     try:
         if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            points = [Fraction(i) for i in range(int(lo), int(hi) + 1)]
+            lo, hi = map(int, spec.split("..", 1))
+            if hi - lo >= GROUNDING_CAP:
+                raise UniverseTooLarge(
+                    f"--universe {spec!r} has {hi - lo + 1} points, "
+                    f"more than {GROUNDING_CAP}"
+                )
+            points = [Fraction(i) for i in range(lo, hi + 1)]
         else:
             points = [Fraction(p.strip()) for p in spec.split(",") if p.strip()]
     except (ValueError, ZeroDivisionError):

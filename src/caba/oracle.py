@@ -22,6 +22,7 @@ from .errors import UniverseTooLarge
 from .framework import Atom, CabaFramework, Rule
 
 DEFAULT_ARGUMENT_CAP = 2_000
+GROUNDING_CAP = 50_000  # rule and assumption instances ground() may try
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,22 @@ def ground(
     framework: CabaFramework, universe: Iterable[Fraction]
 ) -> GroundAbaFramework:
     """All rule instances over the universe whose constraints hold;
-    constraints folded away, assumptions instantiated pointwise."""
+    constraints folded away, assumptions instantiated pointwise.  Raises
+    ``UniverseTooLarge`` before enumerating when that would try more
+    than ``GROUNDING_CAP`` instances."""
     uni = tuple(sorted(set(Fraction(u) for u in universe)))
     if not uni:
         raise ValueError("universe must be non-empty")
     fw = framework.normalise()
+    sig = fw.assumption_arity
+    tries = sum(len(uni) ** len(rule.vars()) for rule in fw.rules) + sum(
+        len(uni) ** sig[pred] for pred in fw.assumption_predicates
+    )
+    if tries > GROUNDING_CAP:
+        raise UniverseTooLarge(
+            f"grounding over {len(uni)} points would try {tries} instances, "
+            f"more than {GROUNDING_CAP}"
+        )
     rules: list[Rule] = []
     for rule in fw.rules:
         vs = sorted(rule.vars())
@@ -83,7 +95,6 @@ def ground(
             )
     assumptions: set[Atom] = set()
     contraries: dict[Atom, Atom] = {}
-    sig = fw.assumption_arity
     for pred in sorted(fw.assumption_predicates):
         if pred == fw.bogus_assumption:
             continue

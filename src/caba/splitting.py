@@ -4,12 +4,16 @@ non-overlapping form while preserving its denotation.
 Two repairs exist.  ``split_ci`` removes from one argument the region
 it shares with another (the survivor keeps the overlap).  ``split_pa``
 cuts an argument attacked only partially into a piece that is fully
-attacked and pieces that are not attacked at all.  The repair loop
-applies them until no violating pair remains.
+attacked and pieces that are not attacked at all.
+``argument_splitting`` rescans every pair of the pool after each repair
+and applies the least violating one until none remains.  An argument
+never changes, so each pair's result is memoised for the run and a
+rescan computes only the pairs with a new piece.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import count
 from typing import Iterable, Mapping
 
@@ -23,18 +27,13 @@ from .constraints import (
     constraint_split,
     project,
 )
-from .equivalence import (
-    Denotation,
-    _sharing_pairs,
-    common_instances,
-    denotation,
-    shape_atoms,
-)
+from .equivalence import Denotation, _sharing_pairs, denotation, shape_atoms
 from .errors import IterationLimit, PreconditionViolated
 from .framework import Atom
 
-# perfbench/tracing.py wraps this name in this module
+# perfbench/tracing.py wraps these names in this module
 from .attacks import fully_attacks  # noqa: F401
+from .equivalence import common_instances  # noqa: F401
 
 DEFAULT_MAX_ITERS = 10_000
 
@@ -43,11 +42,11 @@ def split_ci(
     a: ConstrainedArgument, b: ConstrainedArgument
 ) -> list[ConstrainedArgument]:
     """Replace b by pieces sharing no instance with a or each other."""
-    if not common_instances(a, b):
+    da, db = denotation(a), denotation(b)
+    if not any(_sharing_pairs([da, db])):
         raise PreconditionViolated(
             f"{a.id} and {b.id} have no common constrained instances"
         )
-    da, db = denotation(a), denotation(b)
     out: list[ConstrainedArgument] = []
     k = 0
     for shape in sorted(db):
@@ -128,113 +127,74 @@ class SplitBasis(list):
         self.attacks = attacks
 
 
-class _Worklist:
-    """One run's pool and its memo of pair results.
-
-    Arguments are keyed by serial number, in pool order.  An argument
-    never changes, so the result for a pair holds until one of the two
-    is replaced; a repair drops the replaced argument's entries and only
-    the pairs with a new piece are taken.
-    """
-
-    def __init__(
-        self, args: Iterable[ConstrainedArgument], contraries: Mapping[str, str]
-    ):
-        self.contraries = contraries
-        self.pool: dict[int, ConstrainedArgument] = {}
-        self.claims: dict[str, list[int]] = {}  # serials by claim predicate
-        self.denos: dict[int, Denotation] = {}
-        # sharing pairs ordered by render: a ci repair replaces the second
-        self.sharing: set[tuple[int, int]] = set()
-        self.unscanned: set[int] = set()  # attack pairs not yet taken
-        self.partial: dict[tuple[int, int], Atom] = {}  # first partial atom
-        self.full: set[tuple[int, int]] = set()
-        self.serials = count()
-        self.admit(args)
-
-    def admit(self, args: Iterable[ConstrainedArgument]) -> None:
-        new = []
-        for arg in args:
-            s = next(self.serials)
-            self.pool[s] = arg
-            self.claims.setdefault(arg.claim.predicate, []).append(s)
-            new.append(s)
-        self.unscanned.update(new)
-        # only arguments with equal claim predicates can share an instance
-        for s, arg in self.pool.items():
-            if s not in self.denos and len(self.claims[arg.claim.predicate]) > 1:
-                self.denos[s] = denotation(arg)
-        for s in new:
-            for t in self.claims[self.pool[s].claim.predicate]:
-                if t < s and any(_sharing_pairs([self.denos[t], self.denos[s]])):
-                    a, b = sorted((t, s), key=lambda k: self.pool[k].render())
-                    self.sharing.add((a, b))
-
-    def drop(self, s: int) -> None:
-        arg = self.pool.pop(s)
-        self.claims[arg.claim.predicate].remove(s)
-        self.denos.pop(s, None)
-        self.unscanned.discard(s)
-        self.sharing = {k for k in self.sharing if s not in k}
-        self.partial = {k: v for k, v in self.partial.items() if s not in k}
-        self.full = {k for k in self.full if s not in k}
-
-    def scan_attacks(self) -> None:
-        """Take the attack edges of every ordered pair with an unscanned
-        member.  Runs only once no pair shares an instance, so pieces a
-        ci repair replaces never get edges."""
-        fresh, self.unscanned = self.unscanned, set()
-        for a, x in self.pool.items():
-            for b, y in self.pool.items():
-                if a not in fresh and b not in fresh:
-                    continue
-                for _, _, atom, kind in attack_edges([x], [y], self.contraries):
-                    if kind == "full":
-                        self.full.add((a, b))
-                    else:
-                        self.partial.setdefault((a, b), atom)
-
-    def violation(self):
-        """The next repair: a sharing pair before a partial attack, the
-        least pair by ids (ties to the earlier arguments)."""
-        ids = {s: arg.id for s, arg in self.pool.items()}
-        if self.sharing:
-            a, b = min(self.sharing, key=lambda k: (ids[k[0]], ids[k[1]], sorted(k)))
-            return "ci", a, b, None
-        self.scan_attacks()
-        if self.partial:
-            a, b = min(self.partial, key=lambda k: (ids[k[0]], ids[k[1]], k))
-            return "pa", a, b, self.partial[a, b]
-        return None
-
-    def repair(self, kind: str, a: int, b: int, atom: Atom | None) -> None:
-        x, y = self.pool[a], self.pool[b]
-        if kind == "ci":
-            pieces = split_ci(x, y)
-        else:
-            pieces = split_pa(x, y, self.contraries, atom)
-        self.drop(b)
-        self.admit(pieces)
-
-
 def argument_splitting(
     args: Iterable[ConstrainedArgument],
     contraries: Mapping[str, str],
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> SplitBasis:
     """Repair until instance-disjoint and non-overlapping; denotation
-    preserving.  Common-instance repairs run before attack repairs;
-    pairs are processed in canonical order.  ``max_iters`` bounds the
-    repairs, not the checks: a compliant set passes with 0."""
-    run = _Worklist(args, contraries)
-    repairs = 0
-    while (step := run.violation()) is not None:
-        if repairs >= max_iters:
+    preserving.  Every repair is followed by a rescan of the whole pool:
+    sharing pairs first, attack pairs only once no pair shares, and the
+    least violating pair by ids (ties to pool order) is repaired next.
+    Pair results are memoised for the run, keyed by each argument's
+    serial, so a rescan computes only the pairs with a new piece.
+    ``max_iters`` bounds the repairs, not the checks: a compliant set
+    passes with 0."""
+    seen = list(args)  # every argument of the run, indexed by serial
+    pool = list(range(len(seen)))
+
+    @cache
+    def deno(s: int) -> Denotation:
+        return denotation(seen[s])
+
+    # asked only for pairs with equal claim predicates, in pool order
+    @cache
+    def sharing(s: int, t: int) -> bool:
+        return any(_sharing_pairs([deno(s), deno(t)]))
+
+    @cache
+    def attacks(s: int, t: int) -> tuple[tuple[Atom, str], ...]:
+        edges = attack_edges([seen[s]], [seen[t]], contraries)
+        return tuple((atom, kind) for _, _, atom, kind in edges)
+
+    def ids(pair) -> tuple[str, str]:
+        return seen[pair[0]].id, seen[pair[1]].id
+
+    for repairs in count():
+        # a ci repair replaces the pair's second argument in render order
+        ci = [
+            sorted((s, t), key=lambda k: seen[k].render())
+            for i, s in enumerate(pool)
+            for t in pool[i + 1 :]
+            if seen[s].claim.predicate == seen[t].claim.predicate and sharing(s, t)
+        ]
+        pa = [] if ci else [
+            (s, t, atom)
+            for s in pool
+            for t in pool
+            for atom, kind in attacks(s, t)
+            if kind == "partial"
+        ]
+        if not ci and not pa:
+            break
+        if repairs == max_iters:
             raise IterationLimit(
                 f"argument splitting did not converge within {max_iters} repairs",
-                partial=list(run.pool.values()),
+                partial=[seen[s] for s in pool],
             )
-        run.repair(*step)
-        repairs += 1
-    full = frozenset((run.pool[a].id, run.pool[b].id) for a, b in run.full)
-    return SplitBasis(run.pool.values(), full)
+        if ci:
+            s, t = min(ci, key=ids)
+            pieces = split_ci(seen[s], seen[t])
+        else:
+            s, t, atom = min(pa, key=ids)
+            pieces = split_pa(seen[s], seen[t], contraries, atom)
+        pool.remove(t)
+        pool.extend(range(len(seen), len(seen) + len(pieces)))
+        seen.extend(pieces)
+    full = frozenset(
+        ids((s, t))
+        for s in pool
+        for t in pool
+        if any(kind == "full" for _, kind in attacks(s, t))
+    )
+    return SplitBasis((seen[s] for s in pool), full)

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+import caba.oracle
 from caba.cli import main, parse_universe
+from caba.errors import UniverseTooLarge
+from caba.oracle import GROUNDING_CAP
 
 CORPUS = Path(__file__).parent.parent / "src" / "caba" / "corpus"
 FA = str(CORPUS / "FA.caba")
@@ -29,6 +32,11 @@ class TestParseUniverse:
 
     def test_negative_range(self):
         assert parse_universe("-2..0") == [Fraction(-2), Fraction(-1), Fraction(0)]
+
+    def test_range_beyond_cap(self):
+        assert len(parse_universe(f"1..{GROUNDING_CAP}")) == GROUNDING_CAP
+        with pytest.raises(UniverseTooLarge):
+            parse_universe(f"0..{GROUNDING_CAP}")
 
 
 class TestExitCodes:
@@ -89,6 +97,28 @@ class TestExitCodes:
         assert err == (
             "resource limit: argument splitting did not converge within 0 repairs\n"
         )
+
+    @pytest.mark.parametrize(
+        "command", [("ground",), ("check", "--mode", "arguments")], ids=["ground", "check"]
+    )
+    def test_grounding_budget(self, capsys, monkeypatch, tmp_path, command):
+        # 101**4 instances of one rule: refused before any is tried
+        def product(*args, **kwargs):
+            raise AssertionError("grounding started enumerating")
+
+        monkeypatch.setattr(caba.oracle, "product", product)
+        wide = tmp_path / "wide.caba"
+        wide.write_text(
+            "assumption a(X) contrary c(X).\n"
+            "p(X) <- a(X), X + Y + Z + W >= 0.\n"
+        )
+        code, out, err = run(
+            capsys, command[0], str(wide), "--universe", "0..100", *command[1:]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource limit: grounding over 101 points")
+        assert err.count("\n") == 1
 
     def test_check_mismatch_would_exit_1(self, capsys):
         # a healthy framework: no mismatch, exit 0

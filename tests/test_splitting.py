@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import caba.equivalence
+import caba.splitting
 from caba.arguments import ConstrainedArgument, build_mgcarg
 from caba.attacks import attack_edges, fully_attacks, partially_attacks
 from caba.constraints import LinearTerm, constraint
@@ -61,6 +63,18 @@ class TestSplitCi:
         b = mk("b", Atom("p", (V("X"),)), [constraint(V("X"), "<", C(0))], [])
         with pytest.raises(PreconditionViolated):
             split_ci(a, b)
+
+    def test_takes_each_denotation_once(self, monkeypatch):
+        calls = []
+        for module in (caba.splitting, caba.equivalence):
+            real = module.denotation
+            monkeypatch.setattr(
+                module, "denotation", lambda x, real=real: calls.append(x) or real(x)
+            )
+        a = mk("a", Atom("p", (V("X"),)), [constraint(V("X"), ">=", C(0))], [])
+        b = mk("b", Atom("p", (V("X"),)), [constraint(V("X"), "<=", C(0))], [])
+        split_ci(a, b)
+        assert len(calls) == 2
 
     def test_outputs_disjoint_from_attacker_and_each_other(self):
         rng = random.Random(43)
@@ -225,9 +239,10 @@ RINGS = {
 }
 
 
-class TestWorklistMatchesRescan:
-    """The worklist repairs the same pairs, in the same order, as a
-    loop that rescans the whole pool after every repair."""
+class TestSplittingMatchesRescan:
+    """Reading pair results from the run's memo, argument_splitting
+    repairs the same pairs, in the same order, as a loop that recomputes
+    every pair after every repair."""
 
     def check(self, args, contraries, max_iters=10_000):
         args = list(args)
@@ -279,6 +294,64 @@ class TestWorklistMatchesRescan:
                     argument_splitting(pool, contraries, max_iters=6)
                 assert listing(got.value.partial) == listing(err.partial)
         assert converged >= 15
+
+
+class TestPairMemo:
+    """However many rescans a run makes, it takes each ordered pair's
+    attack edges, each pair's sharing test and each argument's
+    denotation once (split_ci's own calls aside)."""
+
+    def taken(self, monkeypatch, fw):
+        taken, in_split_ci = Counter(), []
+        keep = []  # holds what is counted, so that object ids stay distinct
+
+        def count(kind, *objs):
+            if not in_split_ci:
+                keep.extend(objs)
+                taken[(kind, *map(id, objs))] += 1
+
+        def counted(module, name, note):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                note(*args)
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        def attack_edges(attackers, targets, contraries):
+            for a in attackers:
+                for b in targets:
+                    count("edges", a, b)
+
+        counted(caba.splitting, "attack_edges", attack_edges)
+        counted(caba.splitting, "_sharing_pairs", lambda ds: count("sharing", *ds))
+        for module in (caba.splitting, caba.equivalence):
+            counted(module, "denotation", lambda x: count("denotation", x))
+        real_split_ci = caba.splitting.split_ci
+
+        def split_ci(a, b):
+            in_split_ci.append(True)
+            try:
+                return real_split_ci(a, b)
+            finally:
+                in_split_ci.pop()
+
+        monkeypatch.setattr(caba.splitting, "split_ci", split_ci)
+        argument_splitting(build_mgcarg(fw), fw.contrary_map)
+        return taken
+
+    @pytest.mark.parametrize("name", ["cpcq", *sorted(RINGS)])
+    def test_each_pair_taken_once(self, monkeypatch, name):
+        if name == "cpcq":
+            fw = parse_file(CORPUS / "cpcq.caba")
+        else:
+            fw = parse(RINGS[name])
+        _, repairs = rescan_splitting(build_mgcarg(fw), fw.contrary_map)
+        taken = self.taken(monkeypatch, fw)
+        assert repairs > 1
+        assert {kind for kind, *_ in taken} == {"edges", "sharing", "denotation"}
+        assert max(taken.values()) == 1
 
 
 class TestRepairBudget:
