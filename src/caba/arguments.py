@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
@@ -24,7 +25,7 @@ from .constraints import (
     is_consistent,
 )
 from .errors import DepthExceeded, InconsistentInstance
-from .framework import Atom, CabaFramework, Rule
+from .framework import Atom, CabaFramework, Rule, _fresh_names
 
 DEFAULT_MAX_DEPTH = 16
 
@@ -143,22 +144,11 @@ def _dependency_cyclic(framework: CabaFramework) -> bool:
         deps.setdefault(r.head.predicate, set()).update(
             a.predicate for a in r.body_atoms
         )
-    seen: dict[str, int] = {}  # 0 = in progress, 1 = done
-
-    def visit(p: str) -> bool:
-        state = seen.get(p)
-        if state == 0:
-            return True
-        if state == 1:
-            return False
-        seen[p] = 0
-        for q in deps.get(p, ()):
-            if visit(q):
-                return True
-        seen[p] = 1
-        return False
-
-    return any(visit(p) for p in deps)
+    try:
+        TopologicalSorter(deps).prepare()
+    except CycleError:
+        return True
+    return False
 
 
 def build_mgcarg(
@@ -195,13 +185,13 @@ def build_mgcarg(
         goal_vars = fresh.tuple(sig[pred])
         goal = Atom(pred, tuple(LinearTerm.variable(v) for v in goal_vars))
         n = 0
-        for constraints, assumptions, rules in _derive(
-            (goal,), frozenset(), frozenset(), frozenset(), 0,
-            rules_by_head, fw, fresh, depth_cap,
+        for found in _derive(
+            goal, rules_by_head, fw.assumption_predicates, fresh, depth_cap
         ):
-            if constraints is None:
+            if found is None:
                 truncated = True
                 continue
+            constraints, assumptions, rules = found
             n += 1
             arg = canonicalise(
                 ConstrainedArgument(
@@ -227,52 +217,59 @@ def _key(arg: ConstrainedArgument) -> tuple:
 
 
 def _derive(
-    goals: tuple[Atom, ...],
-    constraints: frozenset[LinearConstraint],
-    assumptions: frozenset[Atom],
-    rules: frozenset[str],
-    depth: int,
+    goal: Atom,
     rules_by_head: dict[str, list[Rule]],
-    fw: CabaFramework,
+    assumption_preds: frozenset[str],
     fresh: _Fresh,
     depth_cap: int | None,
-) -> Iterator[tuple]:
+) -> Iterator[tuple | None]:
     """Yield (constraints, assumptions, rules) for each complete
-    derivation; yields (None, None, None) when the depth cap cuts a
-    branch."""
-    if not goals:
-        yield constraints, assumptions, rules
-        return
-    goal, rest = goals[0], goals[1:]
-    if goal.predicate in fw.assumption_predicates:
-        yield from _derive(
-            rest, constraints, assumptions | {goal}, rules, depth,
-            rules_by_head, fw, fresh, depth_cap,
-        )
-        return
-    if depth_cap is not None and depth >= depth_cap:
-        yield None, None, None
-        return
-    for rule in rules_by_head.get(goal.predicate, ()):
-        renaming = {v: fresh.var() for v in sorted(rule.vars())}
-        head = rule.head.rename(renaming)
-        # normalised head args are distinct variables: bind them to the
-        # goal's terms directly
-        binding = {
-            t.coeffs[0][0]: g for t, g in zip(head.args, goal.args)
-        }
-        new_constraints = constraints | {
-            c.rename(renaming).substitute(binding) for c in rule.body_constraints
-        }
-        if not is_consistent(new_constraints):
+    derivation of ``goal``, depth first and in rule order; yield None
+    where the depth cap cuts a branch.
+
+    The stack holds (goals, constraints, assumptions, rules, depth)
+    states.  A popped state takes its leading assumption goals into its
+    assumptions, then expands its first derived goal by each rule that
+    keeps the constraints consistent; the new states are pushed in
+    reverse, so that the first rule's state is popped first.
+    """
+    stack = [((goal,), frozenset(), frozenset(), frozenset(), 0)]
+    while stack:
+        goals, constraints, assumptions, rules, depth = stack.pop()
+        i = 0
+        while i < len(goals) and goals[i].predicate in assumption_preds:
+            i += 1
+        assumptions = assumptions.union(goals[:i])
+        if i == len(goals):
+            yield constraints, assumptions, rules
             continue
-        body = tuple(
-            a.rename(renaming).substitute(binding) for a in rule.body_atoms
-        )
-        yield from _derive(
-            body + rest, new_constraints, assumptions, rules | {rule.id},
-            depth + 1, rules_by_head, fw, fresh, depth_cap,
-        )
+        if depth_cap is not None and depth >= depth_cap:
+            yield None
+            continue
+        goal, rest = goals[i], goals[i + 1 :]
+        expanded = []
+        for rule in rules_by_head.get(goal.predicate, ()):
+            renaming = {v: fresh.var() for v in sorted(rule.vars())}
+            head = rule.head.rename(renaming)
+            # normalised head args are distinct variables: bind them to
+            # the goal's terms directly
+            binding = {
+                t.coeffs[0][0]: g for t, g in zip(head.args, goal.args)
+            }
+            new_constraints = constraints | {
+                c.rename(renaming).substitute(binding)
+                for c in rule.body_constraints
+            }
+            if not is_consistent(new_constraints):
+                continue
+            body = tuple(
+                a.rename(renaming).substitute(binding) for a in rule.body_atoms
+            )
+            expanded.append(
+                (body + rest, new_constraints, assumptions, rules | {rule.id},
+                 depth + 1)
+            )
+        stack.extend(reversed(expanded))
 
 
 # ----------------------------------------------------------- instances
@@ -305,15 +302,10 @@ def generalise_claim(
     """Replace the claim's argument tuple (or a designated assumption's)
     by fresh distinct variables, constrained equal to the old terms."""
     target = arg.claim if assumption is None else assumption
-    used = set(arg.vars())
-    fresh_vars: list[str] = []
-    i = 0
-    while len(fresh_vars) < len(target.args):
-        name = f"V{i}"
-        i += 1
-        if name not in used:
-            fresh_vars.append(name)
-    new_atom = Atom(target.predicate, tuple(map(LinearTerm.variable, fresh_vars)))
+    fresh = _fresh_names(set(arg.vars()))
+    new_atom = Atom(
+        target.predicate, tuple(LinearTerm.variable(next(fresh)) for _ in target.args)
+    )
     eqs = frozenset(_equate(new_atom.args, target.args))
     if assumption is None:
         return ConstrainedArgument(

@@ -17,13 +17,7 @@ from fractions import Fraction
 
 from .arguments import DEFAULT_MAX_DEPTH, build_mgcarg
 from .attacks import attack_graph
-from .errors import (
-    CabaError,
-    CardinalityLimit,
-    DepthExceeded,
-    IterationLimit,
-    UniverseTooLarge,
-)
+from .errors import CabaError, ResourceLimit, UniverseTooLarge
 from .oracle import GROUNDING_CAP, classical_extensions, cross_check, ground
 from .parser import parse_file
 from .semantics import enumerate_extensions
@@ -145,7 +139,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         return _run(_parser().parse_args(argv))
-    except (CardinalityLimit, DepthExceeded, IterationLimit, UniverseTooLarge) as exc:
+    except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 2
     except CabaError as exc:

@@ -306,7 +306,6 @@ def _eliminate(
     """
     work = set(cs)
     while True:
-        ground_done = True
         for c in list(work):
             if c.is_ground():
                 if not c.eval_ground():
@@ -334,10 +333,7 @@ def _eliminate(
         # Fourier-Motzkin on one inequality variable
         cands = [v for v in drop if any(v in c.vars() for c in work)]
         if not cands:
-            for c in work:
-                if c.is_ground() and not c.eval_ground():
-                    return None
-            return frozenset(c for c in work if not c.is_ground())
+            return frozenset(work)
 
         def cost(v: str) -> tuple[int, str]:
             lo = sum(1 for c in work if c.expr.coeff_map().get(v, 0) < 0)

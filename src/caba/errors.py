@@ -30,27 +30,28 @@ class InconsistentInstance(CabaError):
     """Instantiating an argument produced an inconsistent constraint set."""
 
 
-class DepthExceeded(CabaError):
-    """Recursive rule dependencies hit the derivation depth cap."""
+class ResourceLimit(CabaError):
+    """A budget or size cap stopped the work; ``partial`` holds the
+    result computed so far where the raiser keeps one."""
 
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class DepthExceeded(ResourceLimit):
+    """Recursive rule dependencies hit the derivation depth cap."""
 
 
 class PreconditionViolated(CabaError):
     """A split operation was applied to a pair not satisfying its guard."""
 
 
-class IterationLimit(CabaError):
+class IterationLimit(ResourceLimit):
     """The splitting repair loop did not converge within its step budget."""
 
-    def __init__(self, message: str, partial=None):
-        super().__init__(message)
-        self.partial = partial
 
-
-class CardinalityLimit(CabaError):
+class CardinalityLimit(ResourceLimit):
     """Too many same-predicate assumption atoms for exact pairing."""
 
 
@@ -58,5 +59,5 @@ class BasisNotCompliant(CabaError):
     """Extension enumeration needs an instance-disjoint, non-overlapping basis."""
 
 
-class UniverseTooLarge(CabaError):
+class UniverseTooLarge(ResourceLimit):
     """The grounding oracle refused an instantiation beyond its size cap."""

@@ -110,7 +110,6 @@ class _Parser:
     def parse_framework(self) -> CabaFramework:
         rules: list[Rule] = []
         assumptions: dict[str, tuple[str, int]] = {}
-        decl_lines: dict[str, int] = {}
         while self.peek().kind != "eof":
             if self.peek().kind == "keyword" and self.peek().text == "assumption":
                 pred, contrary, arity, line = self.parse_assumption()
@@ -119,7 +118,6 @@ class _Parser:
                         f"conflicting contrary declarations for {pred}", line, 1
                     )
                 assumptions[pred] = (contrary, arity)
-                decl_lines[pred] = line
             else:
                 rules.append(self.parse_rule(f"R{len(rules) + 1}"))
         return CabaFramework.build(rules, assumptions)
@@ -197,22 +195,26 @@ class _Parser:
         return term
 
     def parse_factor(self) -> LinearTerm:
-        t = self.peek()
-        if t.kind == "-":
+        signs = 0
+        while self.peek().kind == "-":
             self.next()
-            return -self.parse_factor()
+            signs += 1
+        t = self.peek()
         if t.kind == "var":
             self.next()
-            return LinearTerm.variable(t.text)
-        if t.kind == "number":
+            term = LinearTerm.variable(t.text)
+        elif t.kind == "number":
             self.next()
             value = _rational(t)
             if self.peek().kind == "*":
                 self.next()
                 v = self.expect("var")
-                return LinearTerm.build({v.text: value})
-            return LinearTerm.constant(value)
-        raise self.error(f"expected a term, found {t.text or 'end of input'!r}")
+                term = LinearTerm.build({v.text: value})
+            else:
+                term = LinearTerm.constant(value)
+        else:
+            raise self.error(f"expected a term, found {t.text or 'end of input'!r}")
+        return -term if signs % 2 else term
 
 
 def _rational(tok: Token) -> Fraction:

@@ -1,12 +1,15 @@
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import caba.arguments
 from caba.arguments import (
     ConstrainedArgument,
     GroundArgument,
+    _dependency_cyclic,
     build_mgcarg,
     constrained_instance,
     generalise_claim,
@@ -18,6 +21,8 @@ from caba.errors import DepthExceeded, InconsistentInstance
 from caba.framework import Atom
 from caba.oracle import classical_arguments, ground
 from caba.parser import parse, parse_file
+
+from generators import random_bounded_framework
 
 CORPUS = Path(__file__).parent.parent / "src" / "caba" / "corpus"
 V = LinearTerm.variable
@@ -81,6 +86,180 @@ class TestBuildMgcarg:
         with pytest.raises(DepthExceeded) as err:
             build_mgcarg(fw, max_depth=4)
         assert err.value.partial  # the non-recursive branch was found
+
+
+class TestNoRecursionLimit:
+    """Rule bodies and dependency chains three times Python's recursion
+    limit long."""
+
+    N = 3 * sys.getrecursionlimit()
+
+    def test_long_assumption_body(self):
+        body = ", ".join(["a(X)"] * self.N)
+        fw = parse(f"assumption a(X) contrary c(X).\np(X) <- {body}.")
+        assert [a.render() for a in build_mgcarg(fw)] == [
+            "{ ; a(V0)} |-{} a(V0)",
+            "{ ; a(V0)} |-{R1} p(V0)",
+        ]
+
+    def test_long_derived_body(self):
+        body = ", ".join(["q(X)"] * self.N)
+        fw = parse(
+            f"assumption a(X) contrary c(X).\np(X) <- {body}.\nq(X) <- a(X)."
+        )
+        byid = {a.id: a.render() for a in build_mgcarg(fw)}
+        assert byid["p:1"] == "{ ; a(V0)} |-{R1,R2} p(V0)"
+
+    def test_long_dependency_chain(self):
+        chain = [f"p{k}(X) <- p{k + 1}(X)." for k in range(self.N)]
+        assert not _dependency_cyclic(parse("\n".join(chain)))
+        loop = chain + [f"p{self.N}(X) <- p0(X)."]
+        assert _dependency_cyclic(parse("\n".join(loop)))
+
+
+def recursive_derive(
+    goals, constraints, assumptions, rules, depth,
+    rules_by_head, assumption_preds, fresh, depth_cap,
+):
+    """Reference: backward chaining by one recursive call per body goal,
+    yielding (None, None, None) where the depth cap cuts a branch."""
+    if not goals:
+        yield constraints, assumptions, rules
+        return
+    goal, rest = goals[0], goals[1:]
+    if goal.predicate in assumption_preds:
+        yield from recursive_derive(
+            rest, constraints, assumptions | {goal}, rules, depth,
+            rules_by_head, assumption_preds, fresh, depth_cap,
+        )
+        return
+    if depth_cap is not None and depth >= depth_cap:
+        yield None, None, None
+        return
+    for rule in rules_by_head.get(goal.predicate, ()):
+        renaming = {v: fresh.var() for v in sorted(rule.vars())}
+        head = rule.head.rename(renaming)
+        binding = {
+            t.coeffs[0][0]: g for t, g in zip(head.args, goal.args)
+        }
+        new_constraints = constraints | {
+            c.rename(renaming).substitute(binding) for c in rule.body_constraints
+        }
+        if not is_consistent(new_constraints):
+            continue
+        body = tuple(
+            a.rename(renaming).substitute(binding) for a in rule.body_atoms
+        )
+        yield from recursive_derive(
+            body + rest, new_constraints, assumptions, rules | {rule.id},
+            depth + 1, rules_by_head, assumption_preds, fresh, depth_cap,
+        )
+
+
+def outcome(fw, max_depth):
+    """(id, rendering) of each argument built, and whether the depth cap
+    cut the run (the listing is then the partial result)."""
+    try:
+        args, cut = build_mgcarg(fw, max_depth), False
+    except DepthExceeded as err:
+        args, cut = err.partial, True
+    return [(a.id, a.render()) for a in args], cut
+
+
+RECURSIVE = {
+    "self-loop": "p(X) <- p(X).\np(X) <- X > 0.",
+    "mutual": """
+        assumption a(X) contrary c(X).
+        p(X) <- q(Y), X = Y + 1.
+        q(X) <- p(X), a(X).
+        q(X) <- X >= 0, X <= 1.
+        c(X) <- p(X), X >= 3.
+    """,
+    "two-goals": """
+        assumption a(X) contrary c(X).
+        p(X) <- p(Y), a(Z), p(Z), X = Y + Z.
+        p(X) <- a(X), X != 2.
+        c(X) <- p(X), X < 0.
+    """,
+}
+
+# affine chains and a depth-2 sum tree, shaped like the benchmark's
+# derive-chain frameworks
+CHAINS = {
+    "chain-2": """
+        assumption a(X) contrary ca(X).
+        assumption b(X) contrary cb(X).
+        q0(X) <- a(X), X >= 1, X <= 3.
+        q1(X) <- q0(Y), X = Y + 2.
+        q2(X) <- q1(Y), X = Y + 1, X <= 5.
+        ca(X) <- q2(X), X >= 9/2.
+        cb(X) <- q1(X).
+    """,
+    "chain-4": """
+        assumption a(X) contrary ca(X).
+        assumption b(X) contrary cb(X).
+        q0(X) <- a(X), X >= 0, X <= 2.
+        q1(X) <- q0(Y), X = Y + 1.
+        q2(X) <- q1(Y), X = Y + 0, X <= 2.
+        q3(X) <- q2(Y), X = Y + 2.
+        q4(X) <- q3(Y), X = Y + 1.
+        ca(X) <- q4(X), X >= 9/2.
+        cb(X) <- q2(X).
+    """,
+    "tree-2": """
+        assumption a(X) contrary ca(X).
+        assumption b(X) contrary cb(X).
+        q0(X) <- a(X), X >= 2, X <= 3.
+        q1(X) <- q0(Y), q0(Z), X = Y + Z + 1.
+        q2(X) <- q1(Y), q1(Z), X = Y + Z + 0.
+        ca(X) <- q2(X), X >= 21/2.
+        cb(X) <- q1(X).
+    """,
+}
+
+
+class TestMatchesRecursiveDerive:
+    """The explicit-stack loop builds the same arguments, with the same
+    ids in the same order, as the recursive reference."""
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        def reference(goal, rules_by_head, assumption_preds, fresh, depth_cap):
+            for found in recursive_derive(
+                (goal,), frozenset(), frozenset(), frozenset(), 0,
+                rules_by_head, assumption_preds, fresh, depth_cap,
+            ):
+                yield None if found[0] is None else found
+
+        def check(fw, max_depth=caba.arguments.DEFAULT_MAX_DEPTH):
+            got = outcome(fw, max_depth)
+            with monkeypatch.context() as m:
+                m.setattr(caba.arguments, "_derive", reference)
+                want = outcome(fw, max_depth)
+            assert got == want
+            return got
+
+        return check
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.caba")), ids=lambda p: p.stem)
+    def test_corpus(self, compare, path):
+        compare(parse_file(path))
+
+    @pytest.mark.parametrize("name", sorted(RECURSIVE))
+    @pytest.mark.parametrize("max_depth", [0, 1, 2, 3, 5])
+    def test_depth_cuts(self, compare, name, max_depth):
+        _, cut = compare(parse(RECURSIVE[name]), max_depth)
+        assert cut
+
+    def test_random_frameworks(self, compare):
+        rng = random.Random(5)
+        for _ in range(40):
+            compare(random_bounded_framework(rng))
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_chains(self, compare, name):
+        listing, cut = compare(parse(CHAINS[name]))
+        assert not cut and listing
 
 
 class TestConstrainedInstance:

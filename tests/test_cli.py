@@ -6,7 +6,13 @@ import pytest
 
 import caba.oracle
 from caba.cli import main, parse_universe
-from caba.errors import UniverseTooLarge
+from caba.errors import (
+    CardinalityLimit,
+    DepthExceeded,
+    IterationLimit,
+    ResourceLimit,
+    UniverseTooLarge,
+)
 from caba.oracle import GROUNDING_CAP
 
 CORPUS = Path(__file__).parent.parent / "src" / "caba" / "corpus"
@@ -88,6 +94,14 @@ class TestExitCodes:
             assert code == 2
             assert err.startswith("resource limit:")
             assert "exact-pairing limit" in err
+
+    @pytest.mark.parametrize(
+        "limit", [CardinalityLimit, DepthExceeded, IterationLimit, UniverseTooLarge]
+    )
+    def test_resource_limits_share_one_base(self, limit):
+        # main reports every ResourceLimit with exit 2
+        assert issubclass(limit, ResourceLimit)
+        assert limit("cap reached").partial is None
 
     def test_zero_repairs_on_compliant_framework(self, capsys):
         code, _, _ = run(capsys, "--max-iters", "0", "split", str(CORPUS / "tax.caba"))

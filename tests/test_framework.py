@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +49,13 @@ class TestParse:
     def test_undeclared_contrary_tuple_mismatch(self):
         with pytest.raises(ParseError):
             parse("assumption a(X, Y) contrary ca(Y).")
+
+    @pytest.mark.parametrize("extra, bound", [(0, "1"), (1, "-1")])
+    def test_many_unary_minus_signs(self, extra, bound):
+        # three times Python's recursion limit, an even count plus extra
+        signs = "- " * (3 * sys.getrecursionlimit() + extra)
+        (rule,) = parse(f"p(X) <- X < {signs}1.").rules
+        assert rule == parse(f"p(X) <- X < {bound}.").rules[0]
 
     def test_zero_arity_atoms(self):
         fw = parse("assumption a contrary ca.\nca <- a.")

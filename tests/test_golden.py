@@ -3,7 +3,9 @@
 ``tests/golden/`` holds the standard output of every command below on
 every corpus file, in text (``.txt``) and structured (``.json``) form,
 as printed before the attack relation, the instance-sharing scan and
-the region difference were each merged into one definition.  A change
+the region difference were each merged into one definition (the
+``neq`` files, added later, as printed before backward chaining became
+an explicit-stack loop).  A change
 meant to keep results the same must leave every file matching.  A
 change meant to alter output rewrites the files with
 
