@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .constraints import (
     LinearConstraint,
@@ -37,7 +37,6 @@ class ConstrainedArgument:
     constraints: frozenset[LinearConstraint]
     assumptions: frozenset[Atom]
     rules_used: frozenset[str]
-    derivation: tuple = field(default=(), compare=False, repr=False)
 
     def vars(self) -> frozenset[str]:
         out = set(self.claim.vars()) | set(constraints_vars(self.constraints))
@@ -107,13 +106,12 @@ class GroundArgument:
 class _Fresh:
     """Per-call fresh variable source; records allocation order."""
 
-    def __init__(self, prefix: str = "V"):
-        self.prefix = prefix
+    def __init__(self):
         self.count = 0
         self.order: list[str] = []
 
     def var(self) -> str:
-        name = f"{self.prefix}{self.count}"
+        name = f"V{self.count}"
         self.count += 1
         self.order.append(name)
         return name
@@ -325,12 +323,8 @@ def ground_instances(
     uni = sorted(set(Fraction(u) for u in universe))
     if not uni:
         raise ValueError("universe must be non-empty")
-    vs = sorted(arg.vars())
     out: set[GroundArgument] = set()
-    for values in product(uni, repeat=len(vs)):
-        subst = {v: LinearTerm.constant(q) for v, q in zip(vs, values)}
-        if not all(c.substitute(subst).eval_ground() for c in arg.constraints):
-            continue
+    for _, subst in _groundings(arg.vars(), arg.constraints, uni):
         out.add(
             GroundArgument(
                 _eval_atom(arg.claim, subst),
@@ -339,6 +333,20 @@ def ground_instances(
             )
         )
     return out
+
+
+def _groundings(
+    variables: Iterable[str],
+    constraints: Iterable[LinearConstraint],
+    uni: Sequence[Fraction],
+) -> Iterator[tuple[tuple[Fraction, ...], dict[str, LinearTerm]]]:
+    """(values, substitution) for each assignment of the universe's
+    points to the sorted variables under which every constraint holds."""
+    vs = sorted(variables)
+    for values in product(uni, repeat=len(vs)):
+        subst = {v: LinearTerm.constant(q) for v, q in zip(vs, values)}
+        if all(c.substitute(subst).eval_ground() for c in constraints):
+            yield values, subst
 
 
 def _eval_atom(atom: Atom, subst: Mapping[str, LinearTerm]) -> Atom:

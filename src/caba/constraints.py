@@ -5,8 +5,10 @@ rational coefficients.  Constraints compare two terms with one of
 ``< <= = != >= >`` and are normalised to ``expr REL 0`` with
 REL in ``< <= = !=``.  All decision procedures (consistency,
 projection, entailment, constraint split) are exact: disequalities are
-case-split, equalities substituted out, and the remaining inequalities
-eliminated with Fourier-Motzkin.  No floating point anywhere.
+case-split, and variables are eliminated by row combinations, each
+equality added to the rows that mention its variable and each
+Fourier-Motzkin pair of bounds added together.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InconsistentInput, NonGroundInput
-
-Rational = Fraction
 
 LT = "<"
 LE = "<="
@@ -42,10 +42,9 @@ class LinearTerm:
 
     @staticmethod
     def build(coeffs: Mapping[str, Fraction] | None = None, const=0) -> "LinearTerm":
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in (coeffs or {}).items() if c != 0)
+        return _terms(
+            ((v, Fraction(c)) for v, c in (coeffs or {}).items()), Fraction(const)
         )
-        return LinearTerm(items, Fraction(const))
 
     @staticmethod
     def variable(name: str) -> "LinearTerm":
@@ -55,8 +54,11 @@ class LinearTerm:
     def constant(value) -> "LinearTerm":
         return LinearTerm((), Fraction(value))
 
-    def coeff_map(self) -> dict[str, Fraction]:
-        return dict(self.coeffs)
+    def coeff(self, var: str) -> Fraction | int:
+        for v, c in self.coeffs:
+            if v == var:
+                return c
+        return 0
 
     def vars(self) -> frozenset[str]:
         return frozenset(v for v, _ in self.coeffs)
@@ -78,10 +80,7 @@ class LinearTerm:
         )
 
     def __add__(self, other: "LinearTerm") -> "LinearTerm":
-        acc = self.coeff_map()
-        for v, c in other.coeffs:
-            acc[v] = acc.get(v, Fraction(0)) + c
-        return LinearTerm.build(acc, self.const + other.const)
+        return _terms(self.coeffs + other.coeffs, self.const + other.const)
 
     def __sub__(self, other: "LinearTerm") -> "LinearTerm":
         return self + other.scale(-1)
@@ -90,19 +89,19 @@ class LinearTerm:
         return self.scale(-1)
 
     def substitute(self, mapping: Mapping[str, "LinearTerm"]) -> "LinearTerm":
-        out = LinearTerm.constant(self.const)
+        pairs: list[tuple[str, Fraction]] = []
+        const = self.const
         for v, c in self.coeffs:
             repl = mapping.get(v)
             if repl is None:
-                out = out + LinearTerm.build({v: c})
+                pairs.append((v, c))
             else:
-                out = out + repl.scale(c)
-        return out
+                pairs.extend((w, c * d) for w, d in repl.coeffs)
+                const += c * repl.const
+        return _terms(pairs, const)
 
     def rename(self, mapping: Mapping[str, str]) -> "LinearTerm":
-        return LinearTerm.build(
-            {mapping.get(v, v): c for v, c in self.coeffs}, self.const
-        )
+        return _terms(((mapping.get(v, v), c) for v, c in self.coeffs), self.const)
 
     def render(self) -> str:
         if not self.coeffs:
@@ -128,6 +127,15 @@ class LinearTerm:
 
     def __str__(self) -> str:
         return self.render()
+
+
+def _terms(pairs: Iterable[tuple[str, Fraction]], const: Fraction) -> LinearTerm:
+    """The term sum(c*v for v, c in pairs) + const, with the coefficients
+    of a repeated variable summed, zeros dropped and variables sorted."""
+    acc: dict[str, Fraction] = {}
+    for v, c in pairs:
+        acc[v] = acc[v] + c if v in acc else c
+    return LinearTerm(tuple(sorted((v, c) for v, c in acc.items() if c)), const)
 
 
 def _render_rational(q: Fraction) -> str:
@@ -242,9 +250,6 @@ class ConstraintDNF:
 
     disjuncts: tuple[frozenset[LinearConstraint], ...]
 
-    def is_empty(self) -> bool:
-        return not self.disjuncts
-
     def vars(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
         for d in self.disjuncts:
@@ -311,53 +316,47 @@ def _eliminate(
                 if not c.eval_ground():
                     return None
                 work.discard(c)
-        # substitute one equality that mentions a variable to eliminate
-        subst_done = False
-        for c in _sorted(work):
-            if c.rel != EQ:
-                continue
-            hit = c.vars() & drop
-            if not hit:
-                continue
-            var = min(hit)
-            coeff = c.expr.coeff_map()[var]
-            rest = c.expr - LinearTerm.build({var: coeff})
-            repl = rest.scale(Fraction(-1) / coeff)
+        # add one equality that mentions a variable to eliminate, scaled
+        # so that var has coefficient -1, to each row that mentions var
+        eq = next(
+            (c for c in _sorted(work) if c.rel == EQ and c.vars() & drop), None
+        )
+        if eq is not None:
+            var = min(eq.vars() & drop)
+            row = eq.expr.scale(Fraction(-1) / eq.expr.coeff(var))
+            work.discard(eq)
             work = {
-                d.substitute({var: repl}) for d in work if d is not c
+                _canonical(d.expr + row.scale(a), d.rel)
+                if (a := d.expr.coeff(var))
+                else d
+                for d in work
             }
-            subst_done = True
-            break
-        if subst_done:
             continue
-        # Fourier-Motzkin on one inequality variable
-        cands = [v for v in drop if any(v in c.vars() for c in work)]
+        # Fourier-Motzkin on one inequality variable: scale each bound on
+        # var to coefficient -1 (lower) or +1 (upper) and add each pair
+        cands = drop & constraints_vars(work)
         if not cands:
             return frozenset(work)
 
         def cost(v: str) -> tuple[int, str]:
-            lo = sum(1 for c in work if c.expr.coeff_map().get(v, 0) < 0)
-            hi = sum(1 for c in work if c.expr.coeff_map().get(v, 0) > 0)
+            lo = sum(1 for c in work if c.expr.coeff(v) < 0)
+            hi = sum(1 for c in work if c.expr.coeff(v) > 0)
             return (lo * hi, v)
 
         var = min(cands, key=cost)
-        lowers: list[tuple[LinearTerm, str]] = []  # bound <(=) var
-        uppers: list[tuple[LinearTerm, str]] = []  # var <(=) bound
+        lowers: list[tuple[LinearTerm, str]] = []  # bound - var rel 0
+        uppers: list[tuple[LinearTerm, str]] = []  # var - bound rel 0
         keep: set[LinearConstraint] = set()
         for c in work:
-            a = c.expr.coeff_map().get(var, Fraction(0))
-            if a == 0:
+            a = c.expr.coeff(var)
+            if not a:
                 keep.add(c)
-                continue
-            bound = (c.expr - LinearTerm.build({var: a})).scale(Fraction(-1) / a)
-            if a > 0:
-                uppers.append((bound, c.rel))
             else:
-                lowers.append((bound, c.rel))
+                (uppers if a > 0 else lowers).append((c.expr.scale(1 / abs(a)), c.rel))
         for lo, lrel in lowers:
             for hi, hrel in uppers:
                 rel = LT if LT in (lrel, hrel) else LE
-                nc = _canonical(lo - hi, rel)
+                nc = _canonical(lo + hi, rel)
                 if nc.is_ground():
                     if not nc.eval_ground():
                         return None

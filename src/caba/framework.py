@@ -28,9 +28,6 @@ class Atom:
             out |= t.vars()
         return frozenset(out)
 
-    def is_ground(self) -> bool:
-        return all(t.is_ground() for t in self.args)
-
     def substitute(self, mapping: Mapping[str, LinearTerm]) -> "Atom":
         return Atom(self.predicate, tuple(t.substitute(mapping) for t in self.args))
 
@@ -76,11 +73,9 @@ class Rule:
 class Diagnostic:
     code: str
     message: str
-    line: int | None = None
 
     def __str__(self) -> str:
-        where = f" (line {self.line})" if self.line is not None else ""
-        return f"{self.code}: {self.message}{where}"
+        return f"{self.code}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -247,7 +242,6 @@ def _normalise_rule(rule: Rule) -> Rule:
         seen: set[str] = set()
         args: list[LinearTerm] = []
         for t in atom.args:
-            tv = t.vars()
             if len(t.coeffs) == 1 and t.coeffs[0][1] == 1 and t.const == 0:
                 v = t.coeffs[0][0]
                 if v not in seen:

@@ -10,12 +10,18 @@ to the universe; otherwise results are reported as falsification-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
-from .arguments import ConstrainedArgument, GroundArgument, _eval_atom, ground_instances
+from .arguments import (
+    ConstrainedArgument,
+    GroundArgument,
+    _eval_atom,
+    _groundings,
+    ground_instances,
+)
 from .attacks import attack_edges
 from .constraints import LinearConstraint, LinearTerm, is_consistent
 from .errors import UniverseTooLarge
@@ -78,13 +84,7 @@ def ground(
         )
     rules: list[Rule] = []
     for rule in fw.rules:
-        vs = sorted(rule.vars())
-        for values in product(uni, repeat=len(vs)):
-            subst = {v: LinearTerm.constant(q) for v, q in zip(vs, values)}
-            if not all(
-                c.substitute(subst).eval_ground() for c in rule.body_constraints
-            ):
-                continue
+        for values, subst in _groundings(rule.vars(), rule.body_constraints, uni):
             rules.append(
                 Rule(
                     f"{rule.id}@{'/'.join(str(q) for q in values)}",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constraints import LinearConstraint, LinearTerm, RELATIONS
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .framework import Atom, CabaFramework, Rule
 
 _TOKEN_RE = re.compile(
@@ -247,9 +247,7 @@ def _distinct_variable_tuple(atom: Atom, at: Token) -> tuple[str, ...]:
 def parse(text: str) -> CabaFramework:
     """Parse and validate a framework; raises ParseError or ValidationError."""
     fw = _Parser(text).parse_framework()
-    diags = fw.validate()
-    if diags:
-        raise ValidationError(diags)
+    fw.check_valid()
     return fw
 
 

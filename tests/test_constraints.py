@@ -4,9 +4,15 @@ from fractions import Fraction
 import pytest
 
 from caba.constraints import (
+    EQ,
+    LE,
+    LT,
+    NE,
     ConstraintDNF,
     LinearConstraint,
     LinearTerm,
+    _canonical,
+    _eliminate,
     constraint,
     constraint_split,
     entails_projected,
@@ -18,7 +24,12 @@ from caba.constraints import (
 )
 from caba.errors import InconsistentInput, NonGroundInput
 
-from generators import random_consistent_set, random_constraint, sample_points
+from generators import (
+    random_consistent_set,
+    random_constraint,
+    random_term,
+    sample_points,
+)
 
 X = LinearTerm.variable("X")
 Y = LinearTerm.variable("Y")
@@ -257,3 +268,133 @@ class TestProperties:
             stronger = dset | {extra}
             if is_consistent(stronger):
                 assert entails_projected(stronger, cset, {"X"})
+
+
+class TestRename:
+    def test_variables_mapped_to_one_name_add_up(self):
+        assert (X + Y).rename({"X": "Y"}) == Y.scale(2)
+        merged = constraint(X - Y, "=", c(1)).rename({"X": "Y"})
+        assert merged.is_ground()
+        assert not is_consistent([merged])
+
+
+# The term operations and the elimination loop as they were before terms
+# were built by one merge and elimination became row operations; kept as
+# the reference that the current engine must agree with.
+
+
+def ref_build(coeffs, const=0):
+    items = tuple(sorted((v, Fraction(cc)) for v, cc in coeffs.items() if cc != 0))
+    return LinearTerm(items, Fraction(const))
+
+
+def ref_add(t, u):
+    acc = dict(t.coeffs)
+    for v, cc in u.coeffs:
+        acc[v] = acc.get(v, Fraction(0)) + cc
+    return ref_build(acc, t.const + u.const)
+
+
+def ref_sub(t, u):
+    return ref_add(t, u.scale(-1))
+
+
+def ref_substitute(t, mapping):
+    out = LinearTerm.constant(t.const)
+    for v, cc in t.coeffs:
+        repl = mapping.get(v)
+        if repl is None:
+            out = ref_add(out, ref_build({v: cc}))
+        else:
+            out = ref_add(out, repl.scale(cc))
+    return out
+
+
+def ref_rename(t, mapping):
+    return ref_build({mapping.get(v, v): cc for v, cc in t.coeffs}, t.const)
+
+
+def ref_eliminate(cs, drop):
+    work = set(cs)
+    while True:
+        for cc in list(work):
+            if cc.is_ground():
+                if not cc.eval_ground():
+                    return None
+                work.discard(cc)
+        subst_done = False
+        for cc in sorted(work, key=LinearConstraint.sort_key):
+            if cc.rel != EQ:
+                continue
+            hit = cc.vars() & drop
+            if not hit:
+                continue
+            var = min(hit)
+            coeff = dict(cc.expr.coeffs)[var]
+            rest = ref_sub(cc.expr, ref_build({var: coeff}))
+            repl = rest.scale(Fraction(-1) / coeff)
+            work = {
+                _canonical(ref_substitute(d.expr, {var: repl}), d.rel)
+                for d in work
+                if d is not cc
+            }
+            subst_done = True
+            break
+        if subst_done:
+            continue
+        cands = [v for v in drop if any(v in cc.vars() for cc in work)]
+        if not cands:
+            return frozenset(work)
+
+        def cost(v):
+            lo = sum(1 for cc in work if dict(cc.expr.coeffs).get(v, 0) < 0)
+            hi = sum(1 for cc in work if dict(cc.expr.coeffs).get(v, 0) > 0)
+            return (lo * hi, v)
+
+        var = min(cands, key=cost)
+        lowers, uppers, keep = [], [], set()
+        for cc in work:
+            a = dict(cc.expr.coeffs).get(var, Fraction(0))
+            if a == 0:
+                keep.add(cc)
+                continue
+            bound = ref_sub(cc.expr, ref_build({var: a})).scale(Fraction(-1) / a)
+            (uppers if a > 0 else lowers).append((bound, cc.rel))
+        for lo, lrel in lowers:
+            for hi, hrel in uppers:
+                nc = _canonical(ref_sub(lo, hi), LT if LT in (lrel, hrel) else LE)
+                if nc.is_ground():
+                    if not nc.eval_ground():
+                        return None
+                else:
+                    keep.add(nc)
+        work = keep
+
+
+class TestMatchesReferenceEngine:
+    VARS = ["X", "Y", "Z"]
+
+    def test_eliminate(self):
+        rng = random.Random(23)
+        for _ in range(400):
+            drawn = [random_constraint(rng, self.VARS) for _ in range(rng.randint(1, 6))]
+            cs = frozenset(cc for cc in drawn if cc.rel != NE)
+            drop = frozenset(v for v in self.VARS if rng.random() < 0.6)
+            assert _eliminate(cs, drop) == ref_eliminate(cs, drop)
+
+    def test_terms(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            t = random_term(rng, self.VARS, 3)
+            u = random_term(rng, self.VARS, 3)
+            assert t + u == ref_add(t, u)
+            assert t - u == ref_sub(t, u)
+            mapping = {
+                v: random_term(rng, self.VARS, 2)
+                for v in self.VARS
+                if rng.random() < 0.5
+            }
+            assert t.substitute(mapping) == ref_substitute(t, mapping)
+            names = rng.sample(["X", "Y", "Z", "U", "W"], 3)
+            injective = dict(zip(self.VARS, names))
+            assert t.rename(injective) == ref_rename(t, injective)
